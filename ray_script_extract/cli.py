@@ -115,13 +115,10 @@ def _convert(args) -> int:
 
             print(dumps_wd_json(write_wd_json(objects)))
     elif args.path.endswith(".pdf"):
-        import base64
+        from .engine.pdfdoc import convert_pdf_raw_document
 
-        from .engine.pdfdoc import convert_pdf_xml_document
-        from .sources.pdfnative import pdf_to_page_xml
-
-        pages = pdf_to_page_xml(open(args.path, "rb").read())
-        result = convert_pdf_xml_document(pages, output=args.format)
+        result = convert_pdf_raw_document(open(args.path, "rb").read(),
+                                          output=args.format)
         if args.format == "json":
             print(json.dumps(result, ensure_ascii=False))
         else:

@@ -1,4 +1,10 @@
-"""pdftohtml-style page-XML → LineObjects (line assembly).
+"""Page line assembly: positioned text fragments → LineObjects.
+
+One assembler, ``assemble_page``, serves both inputs.  Page XML in the
+pdftohtml ``-xml`` shape (the ``pdf_page_xml`` input kind) is parsed
+with ElementTree by ``process_page_xml`` into typed ``Fragment``
+records; the native PDF front-end (``sources.pdfnative``) produces the
+same records directly, so raw PDFs never go through XML.
 
 Behavioral spec re-derived from the reference's per-page XML walk
 (`/root/reference/src/parser/analyzer/ParseText.php:48-121` (sxiToArray)
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .colors_list import ColorsList
 
@@ -39,9 +45,9 @@ AUTO_HEADER_FOOTER_TEXT = (
     "(Printed with the demonstration version of Fade In)",
 )
 
-# ASCII whitespace per PCRE \s (no Unicode property flag) plus NUL
-_CUSTOM_LTRIM = re.compile(r"^[ \t\n\r\f\x0b\x00]+")
-_CUSTOM_RTRIM = re.compile(r"[ \t\n\r\f\x0b\x00]+$")
+# ASCII whitespace per PCRE \s (no Unicode property flag) plus NUL:
+# the reference's custom ltrim/rtrim set
+_TRIM = " \t\n\r\f\x0b\x00"
 _CONTINUED_TOP = re.compile(r"^CONTINUED:$")
 _CONTINUED_TOP_NUM = re.compile(r"^CONTINUED: ?(?:\(\d+\))?$")
 _CONTINUED_BOTTOM = re.compile(r"^\(CONTINUED\)$")
@@ -50,14 +56,6 @@ _GIVEN_PAGE_NUM = re.compile(
 
 _PHP_TRIM = " \t\n\r\x00\x0b"
 _NBS_RTRIM = " \n\r\t\x0b\x00 "
-
-
-def custom_ltrim(s: str) -> str:
-    return _CUSTOM_LTRIM.sub("", s)
-
-
-def custom_rtrim(s: str) -> str:
-    return _CUSTOM_RTRIM.sub("", s)
 
 
 class LineObject:
@@ -96,66 +94,57 @@ class DocState:
         self.page_size = "Letter"
 
 
-def _xml_node(elem: ET.Element) -> Dict:
-    """One parsed node in the reference's dict shape: tag / value /
-    attributes (uppercased keys) / textAttributes ({start,end} char
-    ranges for element children of <text>)."""
-    node = {
-        "tag": elem.tag.upper(),
-        "attributes": {k.upper(): v for k, v in elem.attrib.items()},
-    }
-    if node["tag"] == "TEXT":
-        node["value"] = "".join(elem.itertext())
+class Fragment(NamedTuple):
+    """One positioned text run, typed: what the line assembler reads
+    from a ``<text>`` element.  Positions are integer pixels;
+    ``text_attrs`` maps a style child tag (``b``/``i``) to its
+    ``{start, end}`` char ranges (ParseText.php:70-95).  ``attributes``
+    holds a parsed element's own upper-cased attribute strings; the
+    native PDF front-end leaves it None."""
+
+    top: int
+    left: int
+    width: int
+    height: int
+    font: str
+    value: str
+    text_attrs: Optional[Dict[str, List[Dict]]] = None
+    attributes: Optional[Dict[str, str]] = None
+
+    def node(self) -> Dict:
+        """The reference's dict shape (tag / attributes / value /
+        textAttributes), kept for header and footer capture."""
+        attrs = self.attributes
+        if attrs is None:
+            attrs = {"TOP": str(self.top), "LEFT": str(self.left),
+                     "WIDTH": str(self.width), "HEIGHT": str(self.height),
+                     "FONT": self.font}
+        node = {"tag": "TEXT", "attributes": attrs, "value": self.value}
+        if self.text_attrs:
+            node["textAttributes"] = self.text_attrs
+        return node
+
+
+def _xml_fragment(elem: ET.Element) -> Fragment:
+    """A parsed ``<text>`` element as a Fragment: char ranges come
+    from its element children only, so a nested ``<b><i>`` keeps just
+    the outer ``b`` range, as in the reference's sxiToArray."""
+    attrs = {k.upper(): v for k, v in elem.attrib.items()}
+    text_attrs: Optional[Dict[str, List[Dict]]] = None
+    if len(elem):
+        text_attrs = {}
         handled = len(elem.text or "")
-        text_attrs: Dict[str, List[Dict]] = {}
         for child in elem:
-            child_text = "".join(child.itertext())
-            clen = len(child_text)
+            clen = len("".join(child.itertext()))
             text_attrs.setdefault(child.tag, []).append(
                 {"start": handled, "end": handled + clen - 1})
-            handled += clen + 0
-            handled += len(child.tail or "")
-        if text_attrs:
-            node["textAttributes"] = text_attrs
-    else:
-        node["value"] = elem.text or ""
-    return node
-
-
-def _trim_return_how_much_cut(value: str, do_left: bool, do_right: bool) -> Dict:
-    out = {"leftTrimmed": 0, "rightTrimmed": 0, "value": value}
-    if do_left:
-        n = len(out["value"])
-        out["value"] = custom_ltrim(out["value"])
-        out["leftTrimmed"] = n - len(out["value"])
-    if do_right:
-        n = len(out["value"])
-        out["value"] = custom_rtrim(out["value"])
-        out["rightTrimmed"] = n - len(out["value"])
-    return out
-
-
-def _add_value_to_line_content(obj: Dict, line_content: str, trim_left: bool,
-                               trim_right: bool,
-                               line_text_attributes: Dict) -> Tuple[Dict, str, str]:
-    """Returns (trim_info, new_line_content_str, appended_str)."""
-    val = _trim_return_how_much_cut(obj["value"], trim_left, trim_right)
-    appended = ""
-    if val["value"] != "":
-        text_length_before = len(line_content)
-        for attr, entries in obj.get("textAttributes", {}).items():
-            for entry in entries:
-                if entry["end"] < val["leftTrimmed"]:
-                    continue
-                if entry["start"] >= len(val["value"]) + val["leftTrimmed"]:
-                    continue
-                start = max(entry["start"] - val["leftTrimmed"], 0) + text_length_before
-                end = min(entry["end"] - val["leftTrimmed"],
-                          len(val["value"]) - 1) + text_length_before
-                line_text_attributes.setdefault(attr, []).append(
-                    {"start": start, "end": end})
-        appended = val["value"]
-    return val, appended, appended
+            handled += clen + len(child.tail or "")
+    return Fragment(int(float(attrs.get("TOP", 0))),
+                    int(float(attrs.get("LEFT", 0))),
+                    int(float(attrs.get("WIDTH", 0))),
+                    int(float(attrs.get("HEIGHT", 0))),
+                    attrs.get("FONT", ""), "".join(elem.itertext()),
+                    text_attrs, attrs)
 
 
 def _line_object_compare(o1: Optional[Dict], o2: Optional[Dict]) -> bool:
@@ -170,67 +159,61 @@ def _line_object_compare(o1: Optional[Dict], o2: Optional[Dict]) -> bool:
             and a1.get("FONT") == a2.get("FONT"))
 
 
-def _calculate_which_keys_to_trim(line_objects: Dict[int, Dict]) -> Dict[int, Dict]:
-    out = {k: {"trimLeft": False, "trimRight": False} for k in line_objects}
-    for k, obj in line_objects.items():
-        out[k]["trimLeft"] = True
-        if custom_ltrim(obj["value"]) != "":
-            break
-    for k in reversed(list(line_objects.keys())):
-        out[k]["trimRight"] = True
-        if custom_rtrim(line_objects[k]["value"]) != "":
-            break
-    return out
-
-
 def process_page_xml(page_xml: str, state: DocState) -> None:
-    """Process one <page> element, appending LineObjects (+ final "\f"
-    sentinel) and header/footer capture to the document state."""
+    """Parse one ``<page>`` element and feed it to ``assemble_page``."""
     page = ET.fromstring(page_xml)
     page_node_attrs = {k.upper(): v for k, v in page.attrib.items()}
     page_height = int(float(page_node_attrs.get("HEIGHT", 792)))
-
-    state.page_size = "A4" if page_height > 800 else "Letter"
-
-    lines_in_page: Dict[int, Dict[int, Dict]] = {}
-    font_spec_flag = False
-    font_objects_local: List[Dict] = []
-
+    fontspecs: List[Dict] = []
+    fragments: List[Fragment] = []
     for elem in page:
         tag = elem.tag.upper()
         if tag == "TEXT":
-            node = _xml_node(elem)
-            attrs = node["attributes"]
-            left_attr = int(float(attrs.get("LEFT", 0)))
-            if left_attr > 500 and node["value"].strip(_PHP_TRIM) == "*":
-                continue  # changebar asterisks
-            top = int(float(attrs.get("TOP", 0)))
-            left = left_attr
-            for offset in range(-MAX_OFFSET_SAME_LINE, MAX_OFFSET_SAME_LINE + 1):
-                if (top + offset) in lines_in_page:
-                    top = top + offset
-                    break
-            bucket = lines_in_page.setdefault(top, {})
-            while left in bucket:
-                left += 1
-            bucket[left] = node
+            fragments.append(_xml_fragment(elem))
         elif tag == "FONTSPEC":
-            font_spec_flag = True
-            attrs = {k.upper(): v for k, v in elem.attrib.items()}
-            points = float(attrs.get("SIZE", 12))
-            px = math.floor(points * FONT_CONVERSION_RATE)
-            if 13 <= px < 16:
-                # Microsoft-Print-to-PDF font-size snap
-                px = 16
-            attrs["SIZE"] = px
-            font_objects_local.append(attrs)
-            state.fonts[attrs.get("ID", "")] = attrs
+            fontspecs.append({k.upper(): v for k, v in elem.attrib.items()})
+    assemble_page(page_height, fontspecs, fragments, state)
 
+
+def assemble_page(page_height: int, fontspecs: List[Dict],
+                  fragments: Iterable[Fragment], state: DocState) -> None:
+    """Assemble one page's fragments into LineObjects, appending them
+    (+ the final "\f" sentinel) and the header/footer capture to the
+    document state.  ``fontspecs`` are attribute dicts with upper-case
+    keys (ID, SIZE in points, FAMILY, COLOR); they are not modified."""
+    state.page_size = "A4" if page_height > 800 else "Letter"
+
+    font_objects_local: List[Dict] = []
+    for spec in fontspecs:
+        attrs = dict(spec)
+        px = math.floor(float(attrs.get("SIZE", 12)) * FONT_CONVERSION_RATE)
+        if 13 <= px < 16:
+            # Microsoft-Print-to-PDF font-size snap
+            px = 16
+        attrs["SIZE"] = px
+        font_objects_local.append(attrs)
+        state.fonts[attrs.get("ID", "")] = attrs
     if state.colors is None:
         state.colors = ColorsList(font_objects_local)
-    elif font_spec_flag:
+    elif font_objects_local:
         state.colors.add_colors(font_objects_local)
     colors = state.colors
+
+    lines_in_page: Dict[int, Dict[int, Fragment]] = {}
+    for frag in fragments:
+        left = frag.left
+        if left > 500 and frag.value.strip(_PHP_TRIM) == "*":
+            continue  # changebar asterisks
+        top = frag.top
+        for candidate in range(top - MAX_OFFSET_SAME_LINE,
+                               top + MAX_OFFSET_SAME_LINE + 1):
+            if candidate in lines_in_page:
+                top = candidate
+                break
+        bucket = lines_in_page.setdefault(top, {})
+        while left in bucket:
+            left += 1
+        bucket[left] = frag
 
     last_top_offset = 72  # default top padding
     given_page_num = ""
@@ -240,13 +223,10 @@ def process_page_xml(page_xml: str, state: DocState) -> None:
 
     for top in sorted(lines_in_page.keys()):
         line_objects = lines_in_page[top]
-        line_content = ""
-        line_colors: Dict[int, List[Dict]] = {}
-        line_text_attributes: Dict[str, List[Dict]] = {}
 
         if top <= INCH // 2 + 14:
             for key in list(line_objects.keys()):
-                v = line_objects[key]["value"].strip(_PHP_TRIM)
+                v = line_objects[key].value.strip(_PHP_TRIM)
                 if _CONTINUED_TOP.match(v):
                     state.scene_continued_top = True
                     del line_objects[key]
@@ -256,14 +236,14 @@ def process_page_xml(page_xml: str, state: DocState) -> None:
                     del line_objects[key]
         if top > page_height - INCH // 2 - 29:
             for key in list(line_objects.keys()):
-                v = line_objects[key]["value"].strip(_PHP_TRIM)
+                v = line_objects[key].value.strip(_PHP_TRIM)
                 if _CONTINUED_BOTTOM.match(v):
                     state.scene_continued_bottom = True
                     del line_objects[key]
 
         if top <= INCH // 2 + 6:
             prev_obj: Optional[Dict] = None
-            work = list(line_objects.values())
+            work = [frag.node() for frag in line_objects.values()]
             idx = 0
             while idx < len(work):
                 obj = dict(work[idx])  # the reference mutates a COPY
@@ -285,77 +265,19 @@ def process_page_xml(page_xml: str, state: DocState) -> None:
                             header_objects.append(obj)
                 idx += 1
         elif top > page_height - INCH // 2 - 14:
-            for obj in line_objects.values():
-                if obj["value"].strip(_PHP_TRIM) not in AUTO_HEADER_FOOTER_TEXT:
-                    footer_objects.append(obj)
+            for frag in line_objects.values():
+                if frag.value.strip(_PHP_TRIM) not in AUTO_HEADER_FOOTER_TEXT:
+                    footer_objects.append(frag.node())
         else:
             spacing_top = last_top_offset
             while spacing_top <= top - BASIC_LINE_HEIGHT + MAX_OFFSET_SAME_LINE:
                 state.line_objects.append(
                     LineObject("", 0, 0, given_page_num, {}, 16, {}, {}))
                 spacing_top += BASIC_LINE_HEIGHT
-
-            left = 1000000
-            right = 0
-            line_font_size = 0
-            line_number_object: Dict = {}
-            last_obj_right = 0
-            sorted_objects = {k: line_objects[k] for k in sorted(line_objects)}
-            key_trim = _calculate_which_keys_to_trim(sorted_objects)
-            for key, obj in sorted_objects.items():
-                text = obj["value"].rstrip(_NBS_RTRIM)
-                obj_left = int(float(obj["attributes"].get("LEFT", 0)))
-                obj_right = obj_left + int(float(obj["attributes"].get("WIDTH", 0)))
-                if text != "" and obj_left < 65 and len(text) < 7:
-                    line_number_object["number"] = text
-                    line_number_object["left"] = 1
-                elif text != "" and obj_left > 520 and len(text) < 7:
-                    line_number_object["number"] = text
-                    line_number_object["right"] = 1
-                else:
-                    font_id = obj["attributes"].get("FONT", "")
-                    color_id = colors.get_color_id(font_id)
-                    text_length_before = len(line_content)
-                    font_size_px = state.fonts.get(font_id, {}).get("SIZE", 16)
-                    if text != "" or line_font_size == 0:
-                        line_font_size = max(
-                            line_font_size if line_content != "" else 0,
-                            font_size_px if text != "" else min(
-                                math.floor(BASIC_LINE_HEIGHT * FONT_CONVERSION_RATE),
-                                font_size_px))
-                    if text != "" and line_content != "" and last_obj_right != 0:
-                        n_spaces = math.floor(
-                            (obj_left - last_obj_right) / DEFAULT_CHAR_WIDTH)
-                        if n_spaces > 0:
-                            line_content += " " * n_spaces
-                    prior_line_content = line_content
-                    trim_info, new_content, appended = _add_value_to_line_content(
-                        obj, line_content, key_trim[key]["trimLeft"],
-                        key_trim[key]["trimRight"], line_text_attributes)
-                    line_content += appended
-                    obj_left += trim_info["leftTrimmed"] * DEFAULT_CHAR_WIDTH
-                    obj_right -= trim_info["rightTrimmed"] * DEFAULT_CHAR_WIDTH
-                    if not colors.special_case(color_id):
-                        line_colors.setdefault(color_id, []).append(
-                            {"start": text_length_before, "end": len(line_content)})
-                    height_attr = int(float(obj["attributes"].get("HEIGHT", 0)))
-                    last_top_offset = max(
-                        last_top_offset,
-                        top + (height_attr if text != ""
-                               else min(BASIC_LINE_HEIGHT, height_attr)))
-                    if prior_line_content != "":
-                        if new_content != "":
-                            left = min(left, obj_left)
-                            right = max(right, obj_right)
-                    else:
-                        left = obj_left
-                        right = obj_right
-                    fonts_in_page[color_id] = fonts_in_page.get(color_id, 0) + 1
-                    last_obj_right = obj_right
-            state.line_objects.append(
-                LineObject(line_content, left, right - left, given_page_num,
-                           line_colors, line_font_size, line_text_attributes,
-                           line_number_object))
+            last_top_offset = _assemble_line(
+                [line_objects[k] for k in sorted(line_objects)], top,
+                last_top_offset, given_page_num, colors, state,
+                fonts_in_page)
 
     header_objects.sort(key=lambda o: int(float(o["attributes"].get("LEFT", 0))))
     if header_objects:
@@ -369,3 +291,98 @@ def process_page_xml(page_xml: str, state: DocState) -> None:
         LineObject("\f", 0, 0, given_page_num, {}, 16, {}, {}))
     state.header_objects.append(header_objects)
     state.footer_objects.append(footer_objects)
+
+
+def _assemble_line(frags: List[Fragment], top: int, last_top_offset: int,
+                   given_page_num, colors: ColorsList, state: DocState,
+                   fonts_in_page: Dict[int, int]) -> int:
+    """Join one body line's fragments (sorted by left) into a
+    LineObject; returns the updated lastTopOffset (:477-585)."""
+    # only the outermost non-blank fragments get trimmed (:133-264)
+    nonblank = [i for i, frag in enumerate(frags) if frag.value.strip(_TRIM)]
+    trim_left_upto = nonblank[0] if nonblank else len(frags)
+    trim_right_from = nonblank[-1] if nonblank else 0
+
+    line_content = ""
+    line_colors: Dict[int, List[Dict]] = {}
+    line_text_attributes: Dict[str, List[Dict]] = {}
+    left = 1000000
+    right = 0
+    line_font_size = 0
+    line_number_object: Dict = {}
+    last_obj_right = 0
+    for i, frag in enumerate(frags):
+        value = frag.value
+        text = value.rstrip(_NBS_RTRIM)
+        obj_left = frag.left
+        obj_right = obj_left + frag.width
+        if text != "" and obj_left < 65 and len(text) < 7:
+            line_number_object["number"] = text
+            line_number_object["left"] = 1
+            continue
+        if text != "" and obj_left > 520 and len(text) < 7:
+            line_number_object["number"] = text
+            line_number_object["right"] = 1
+            continue
+        font_id = frag.font
+        color_id = colors.get_color_id(font_id)
+        text_length_before = len(line_content)
+        font_size_px = state.fonts.get(font_id, {}).get("SIZE", 16)
+        if text != "" or line_font_size == 0:
+            line_font_size = max(
+                line_font_size if line_content != "" else 0,
+                font_size_px if text != "" else min(
+                    math.floor(BASIC_LINE_HEIGHT * FONT_CONVERSION_RATE),
+                    font_size_px))
+        if text != "" and line_content != "" and last_obj_right != 0:
+            n_spaces = math.floor(
+                (obj_left - last_obj_right) / DEFAULT_CHAR_WIDTH)
+            if n_spaces > 0:
+                line_content += " " * n_spaces
+        prior_line_content = line_content
+        left_trimmed = right_trimmed = 0
+        if i <= trim_left_upto:
+            trimmed = value.lstrip(_TRIM)
+            left_trimmed = len(value) - len(trimmed)
+            value = trimmed
+        if i >= trim_right_from:
+            trimmed = value.rstrip(_TRIM)
+            right_trimmed = len(value) - len(trimmed)
+            value = trimmed
+        if value != "":
+            if frag.text_attrs:
+                base = len(line_content)
+                for attr, entries in frag.text_attrs.items():
+                    for entry in entries:
+                        if entry["end"] < left_trimmed:
+                            continue
+                        if entry["start"] >= len(value) + left_trimmed:
+                            continue
+                        line_text_attributes.setdefault(attr, []).append({
+                            "start": max(entry["start"] - left_trimmed, 0)
+                            + base,
+                            "end": min(entry["end"] - left_trimmed,
+                                       len(value) - 1) + base})
+            line_content += value
+        obj_left += left_trimmed * DEFAULT_CHAR_WIDTH
+        obj_right -= right_trimmed * DEFAULT_CHAR_WIDTH
+        if not colors.special_case(color_id):
+            line_colors.setdefault(color_id, []).append(
+                {"start": text_length_before, "end": len(line_content)})
+        last_top_offset = max(
+            last_top_offset,
+            top + (frag.height if text != ""
+                   else min(BASIC_LINE_HEIGHT, frag.height)))
+        if prior_line_content == "":
+            left = obj_left
+            right = obj_right
+        elif value != "":
+            left = min(left, obj_left)
+            right = max(right, obj_right)
+        fonts_in_page[color_id] = fonts_in_page.get(color_id, 0) + 1
+        last_obj_right = obj_right
+    state.line_objects.append(
+        LineObject(line_content, left, right - left, given_page_num,
+                   line_colors, line_font_size, line_text_attributes,
+                   line_number_object))
+    return last_top_offset

@@ -34,7 +34,8 @@ from .blocks import (
     white_out,
 )
 from .objects import ScriptObject
-from .pagexml import DEFAULT_CHAR_WIDTH, INCH, DocState, LineObject, process_page_xml
+from .pagexml import (DEFAULT_CHAR_WIDTH, INCH, DocState, LineObject,
+                      assemble_page, process_page_xml)
 
 _NBS_RTRIM = " \n\r\t\x0b\x00\u00a0"
 _PHP_TRIM = " \t\n\r\x00\x0b"
@@ -670,16 +671,30 @@ def parse_pages_xml(pages: List[str]) -> List[ScriptObject]:
 def parse_pages_xml_full(pages: List[str]):
     """Full document extraction: page-XML strings → (ScriptObjects,
     DocState) — the state carries headers/footers/colors/continued
-    flags for the JSON writer and revision inference.
+    flags for the JSON writer and revision inference."""
+    state = DocState()
+    for page_xml in pages:
+        process_page_xml(page_xml, state)
+    return _parse_document(state)
+
+
+def parse_page_records_full(pages):
+    """The same extraction from the native PDF front-end's typed page
+    records (``pdfnative.PageRecord``): no XML on this path."""
+    state = DocState()
+    for page in pages:
+        assemble_page(int(page.height), page.fontspecs, page.fragments,
+                      state)
+    return _parse_document(state)
+
+
+def _parse_document(state: DocState):
+    """Run the block engine over the assembled lines, page by page.
 
     Mirrors parse_xml_file (ParseText.php:28-654) including the
     form-feed quirk: a single-page document's only \f is the trailing
     sentinel, so the reference takes the broken no-formfeed branch
     (undefined $lines) and produces no objects (:610-646)."""
-    state = DocState()
-    for page_xml in pages:
-        process_page_xml(page_xml, state)
-
     contains_formfeeds = False
     n = len(state.line_objects)
     for num, lo in enumerate(state.line_objects):

@@ -4,8 +4,9 @@
 ``<page>`` XML strings (one per page, in order) and runs the full
 line-assembly + block-classification engine — the semantics of
 `/root/reference/src/parser/analyzer/ParseText.php` re-expressed in
-Python.  ``extract_pdf_raw_document`` first runs the native PDF
-front-end to produce the same per-page tuples.
+Python.  ``extract_pdf_raw_document`` runs the native PDF front-end,
+whose typed page records (``pdfnative.pdf_page_records``) go straight
+into the same line assembly: a raw PDF is never serialized to XML.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ def extract_pdf_raw_document_with_media(pdf_data: str):
     images, SURVEY §1.2, so this is new-capability tier)."""
     import base64
 
-    from ..sources.pdfnative import pdf_to_page_xml_and_media
+    from ..sources.pdfnative import pdf_page_records
+    from .parse_text import parse_page_records_full
 
-    raw = base64.b64decode(pdf_data)
-    pages, media = pdf_to_page_xml_and_media(raw)
-    return extract_pdf_xml_document(pages), media
+    pages, media = pdf_page_records(base64.b64decode(pdf_data))
+    return parse_page_records_full(pages)[0], media
 
 
 def fixup_title_page(objects: List[ScriptObject]) -> None:
@@ -60,11 +61,25 @@ def convert_pdf_xml_document(pages: List[str], output: str = "json"):
     """Full conversion parity with `Parser::parse` + writers: extract,
     title cleanup, then Fountain text or the WD-JSON document (with
     revisions + lineNumbers post-passes)."""
-    from ..engine.parse_text import parse_pages_xml_full
+    from .parse_text import parse_pages_xml_full
+
+    return _convert(*parse_pages_xml_full(pages), output)
+
+
+def convert_pdf_raw_document(raw: bytes, output: str = "json"):
+    """``convert_pdf_xml_document`` for native PDF bytes, through the
+    typed page records (no XML)."""
+    from ..sources.pdfnative import pdf_page_records
+    from .parse_text import parse_page_records_full
+
+    return _convert(*parse_page_records_full(pdf_page_records(raw)[0]),
+                    output)
+
+
+def _convert(objects: List[ScriptObject], state, output: str):
     from ..engine.postpass import parse_line_numbers, parse_revisions
     from ..sources.writers import write_fountain, write_wd_json
 
-    objects, state = parse_pages_xml_full(pages)
     fixup_title_page(objects)
     if output == "fountain":
         return write_fountain(objects)

@@ -1,12 +1,15 @@
-"""Minimal native PDF front-end: PDF bytes → pdftohtml-style page XML.
+"""Minimal native PDF front-end: PDF bytes → typed page records.
 
 Re-implements (from the PDF 1.7 public spec, not from any existing
 library) the slice of PDF the extraction engine needs — the reference
 shelled out to poppler's ``pdftohtml -xml -zoom 1``
 (`/root/reference/src/parser/analyzer/Parser.php:68-79`); this module
-replaces that subprocess with an in-process reader producing the same
-per-page ``<page><fontspec/><text .../></page>`` tuples consumed by
-``engine.pagexml``.
+replaces that subprocess with an in-process reader.
+``pdf_page_records`` yields, per page, exactly what that XML would
+carry (page size, fontspecs, positioned text fragments) as records the
+line assembler in ``engine.pagexml`` consumes directly;
+``pdf_to_page_xml`` serializes the same records as pdftohtml-style
+``<page><fontspec/><text .../></page>`` strings.
 
 Supported subset (matches FIXTURES.md §4):
 * object scan (robust to missing/odd xref: we scan ``N 0 obj``),
@@ -69,18 +72,23 @@ line-bucketing (±4 px) and gap (÷7) arithmetic fires identically.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import zlib
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
-from xml.sax.saxutils import escape
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from xml.sax.saxutils import escape, quoteattr
+
+from ..engine.pagexml import Fragment
 
 _OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj")
-# XML 1.0 forbids most C0 controls; real-world PDFs can decode to them
-_XML_INVALID = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
+# characters XML 1.0 forbids: most C0 controls, surrogates and the
+# U+FFFE/U+FFFF non-characters; real-world PDFs can decode to them
+_XML_INVALID = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _WS = b"\x00\t\n\x0c\r "
-_DELIM = b"()<>[]{}/%"
+# a name runs to the next whitespace or delimiter ()<>[]{}/%
+_RE_NAME_BODY = re.compile(rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
 # lexer token patterns, compiled once and matched AT a position
 # (pattern.match(data, pos)) so no per-token buffer slice happens
 _RE_REF = re.compile(rb"[+-]?\d+\s+\d+\s+R\b")
@@ -187,12 +195,9 @@ class _Lexer:
         return None
 
     def _parse_name(self) -> str:
-        self.pos += 1
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in _WS and data[self.pos] not in _DELIM:
-            self.pos += 1
-        raw = data[start:self.pos]
+        m = _RE_NAME_BODY.match(self.data, self.pos + 1)
+        self.pos = m.end()
+        raw = m.group(0)
         if b"#" in raw:  # #xx escapes (rare — skip the sub otherwise)
             raw = re.sub(rb"#([0-9A-Fa-f]{2})",
                          lambda m: bytes([int(m.group(1), 16)]), raw)
@@ -258,11 +263,9 @@ class _Lexer:
         end = self.data.find(b">", self.pos)
         if end == -1:
             end = len(self.data)
-        hexstr = re.sub(rb"[^0-9A-Fa-f]", b"", self.data[self.pos:end])
+        inner = self.data[self.pos:end]
         self.pos = end + 1
-        if len(hexstr) % 2:
-            hexstr += b"0"
-        return bytes.fromhex(hexstr.decode("ascii"))
+        return _hex_bytes(inner)
 
     def _parse_array(self) -> List:
         self.pos += 1
@@ -313,6 +316,146 @@ class _Lexer:
                 self.pos = end + len(b"endstream")
             return Stream(d, data)
         return d
+
+
+def _hex_bytes(inner: bytes) -> bytes:
+    """Hex-string body → bytes: non-hex bytes dropped, an odd final
+    digit padded with 0 (spec 7.3.4.3)."""
+    hexstr = _RE_NON_HEX.sub(b"", inner)
+    if len(hexstr) % 2:
+        hexstr += b"0"
+    return bytes.fromhex(hexstr.decode("ascii"))
+
+
+# -- content-stream tokenizer -------------------------------------------
+# One regex match covers one whole operation: its operands and then its
+# operator.  Every token is possessive or atomic, so a match can only
+# split the bytes the way ``_Lexer`` does; whatever the pattern does not
+# cover (dicts, nested strings, comments, refs, names with #xx escapes,
+# keywords inside arrays, stray delimiters) makes the match fail and
+# that one operation is read by ``_Lexer`` instead.
+_CS_WS = rb"[\x00\t\n\x0c\r ]*+"
+_CS_NUM = rb"(?>[+-]?(?:\d+\.\d*|\.\d+|\d+))"
+_CS_NAME = rb"/[^\x00\t\n\x0c\r ()<>\[\]{}/%#]*+"
+_CS_STR = rb"\((?:[^\\()]|\\[\s\S])*+\)"
+_CS_HEX = rb"<(?!<)[^>]*+>"
+_CS_ITEM = rb"(?:%s|%s|%s|%s)" % (_CS_NUM, _CS_NAME, _CS_STR, _CS_HEX)
+_CS_ARRAY = rb"\[%s(?:%s%s)*+\]" % (_CS_WS, _CS_ITEM, _CS_WS)
+_CS_TOKEN = rb"(?:%s|%s|%s|%s|%s)" % (_CS_NUM, _CS_NAME, _CS_STR, _CS_HEX,
+                                      _CS_ARRAY)
+# groups: numbers-only operands | one escape-free string | any operands,
+# then the operator
+_RE_CS_OP = re.compile(
+    rb"%s(?:((?:%s%s)++)|\(([^\\()]*+)\)%s|((?:%s%s)++))?([A-Za-z'\"*]++)"
+    % (_CS_WS, _CS_NUM, _CS_WS, _CS_WS, _CS_TOKEN, _CS_WS))
+_RE_CS_NUM = re.compile(_CS_NUM)
+_RE_CS_TOKEN = re.compile(_CS_TOKEN)
+_RE_NON_HEX = re.compile(rb"[^0-9A-Fa-f]")
+_RE_STR_ESCAPE = re.compile(rb"\\(?:([0-7]{1,3})|(\r\n?|\n)|([\s\S]))")
+_STR_ESCAPES = {0x6E: b"\n", 0x72: b"\r", 0x74: b"\t", 0x62: b"\b",
+                0x66: b"\x0c", 0x28: b"(", 0x29: b")", 0x5C: b"\\"}
+# what a fast match takes for an operator but the lexer does not:
+# true/false/null are values, and an operator starting with R may be
+# the R of an ``n g R`` reference (checked on the first byte)
+_CS_NOT_OPERATORS = (b"true", b"false", b"null")
+
+
+def _unescape(m: "re.Match") -> bytes:
+    octal, newline, char = m.groups()
+    if octal:
+        return bytes([int(octal, 8) & 0xFF])
+    if newline:
+        return b""  # line continuation
+    return _STR_ESCAPES.get(char[0], char)
+
+
+def _cs_operands(args: bytes) -> List:
+    """Operand tokens of a fast-matched operation, as ``_Lexer`` types
+    them."""
+    out: List = []
+    for tok in _RE_CS_TOKEN.findall(args):
+        c = tok[0]
+        if c == 0x28:  # '('
+            body = tok[1:-1]
+            out.append(_RE_STR_ESCAPE.sub(_unescape, body)
+                       if 0x5C in body else body)
+        elif c == 0x2F:  # '/'
+            out.append(tok.decode("latin-1"))
+        elif c == 0x5B:  # '['
+            out.append(_cs_operands(tok[1:-1]))
+        elif c == 0x3C:  # '<'
+            out.append(_hex_bytes(tok[1:-1]))
+        elif 0x2E in tok:  # '.'
+            out.append(float(tok))
+        else:
+            out.append(int(tok))
+    return out
+
+
+def _inline_image(lex: _Lexer) -> Tuple[Dict, bytes]:
+    """Read an inline image after its ``BI`` (spec 8.9.7): the
+    abbreviated parameter dict up to ``ID``, one whitespace byte, then
+    raw sample bytes up to a whitespace-delimited ``EI``."""
+    params: Dict = {}
+    while True:
+        o1 = lex.parse_object()
+        if o1 is None or (isinstance(o1, Keyword) and o1.name == b"ID"):
+            break
+        o2 = lex.parse_object()
+        if isinstance(o2, Keyword) and o2.name == b"ID":
+            break
+        if isinstance(o1, str):
+            params[o1] = o2
+    if lex.pos < len(lex.data) and lex.data[lex.pos] in _WS:
+        lex.pos += 1
+    m = _RE_EI.search(lex.data, lex.pos)
+    sample = lex.data[lex.pos:m.start() if m else len(lex.data)]
+    lex.pos = m.end() if m else len(lex.data)
+    return params, sample
+
+
+def _content_ops(data: bytes) -> Iterator[Tuple[bytes, List]]:
+    """Content stream → (operator, operands) per operation, operands
+    typed as ``_Lexer.parse_object`` returns them (stray bytes read as
+    None).  ``BI`` yields ``[params, sample]``: the inline image's raw
+    parameter dict and its sample bytes.  Operands after the last
+    operator are dropped."""
+    match = _RE_CS_OP.match
+    numbers = _RE_CS_NUM.findall
+    lex = _Lexer(data)
+    # trailing whitespace holds no operation: stop before it
+    pos, n = 0, len(data.rstrip(_WS))
+    while pos < n:
+        m = match(data, pos)
+        op = m.group(4) if m is not None else None
+        if (op is not None and op[0] != 0x52  # 'R'
+                and op not in _CS_NOT_OPERATORS):
+            nums, plain, args, _ = m.groups()
+            if nums is not None:
+                operands = [float(t) if 0x2E in t else int(t)
+                            for t in numbers(nums)]
+            elif plain is not None:
+                operands = [plain]
+            elif args is not None:
+                operands = _cs_operands(args)
+            else:
+                operands = []
+            lex.pos = m.end()
+        else:
+            lex.pos = pos
+            operands = []
+            while True:
+                obj = lex.parse_object()
+                if isinstance(obj, Keyword):
+                    op = obj.name
+                    break
+                if obj is None and lex.pos >= n:
+                    return
+                operands.append(obj)
+        if op == b"BI":
+            operands = list(_inline_image(lex))
+        yield op, operands
+        pos = lex.pos
 
 
 def _png_unpredict(data: bytes, colors: int, bpc: int, columns: int) -> bytes:
@@ -423,6 +566,9 @@ class PdfDocument:
                 obj.num, obj.gen = num, int(m.group(2))
             self.objects[num] = obj
             self._gens[num] = int(m.group(2))
+        # _Font per font dict (keyed by identity: the dicts live in
+        # ``objects``), shared by every page and Form XObject
+        self._fonts: Dict[int, "_Font"] = {}
         self._setup_decryption()
         self._expand_object_streams()
 
@@ -525,6 +671,12 @@ class PdfDocument:
                     self.objects[onum] = _Lexer(data, first + ooff).parse_object()
                 except Exception:
                     continue
+
+    def font(self, font_dict: Dict) -> "_Font":
+        font = self._fonts.get(id(font_dict))
+        if font is None:
+            font = self._fonts[id(font_dict)] = _Font(self, font_dict)
+        return font
 
     def resolve(self, obj):
         seen = 0
@@ -1057,11 +1209,13 @@ class _Font:
                         "utf-16-be", "ignore")
         return mapping or None
 
-    def _codes(self, raw: bytes) -> List[int]:
-        if self.cid:  # Identity-H/V: big-endian 2-byte codes
+    def _codes(self, raw: bytes):
+        """Character codes of a shown string: big-endian 2-byte codes
+        for CID fonts (Identity-H/V), else the bytes themselves."""
+        if self.cid:
             return [(raw[i] << 8) | raw[i + 1]
                     for i in range(0, len(raw) - 1, 2)]
-        return list(raw)
+        return raw
 
     def decode(self, raw: bytes) -> str:
         codes = self._codes(raw)
@@ -1192,7 +1346,7 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
 
     def load_resources(res: Dict) -> Tuple[Dict, Dict]:
         font_res = doc.resolve(res.get("/Font")) or {}
-        fonts = {name: _Font(doc, doc.resolve(fd))
+        fonts = {name: doc.font(doc.resolve(fd))
                  for name, fd in font_res.items()}
         xobjects = doc.resolve(res.get("/XObject")) or {}
         return fonts, xobjects
@@ -1311,54 +1465,55 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
     def exec_content(data: bytes, fonts: Dict, xobjects: Dict,
                      depth: int) -> None:
         """Interpret one content stream; recurses into Form XObjects
-        (``Do``) with the graphics state saved/restored per spec, and
-        skips inline images (``BI … EI`` carry raw binary that would
-        derail the tokenizer)."""
+        (``Do``) with the graphics state saved/restored per spec.
+        ``_content_ops`` reads inline images (``BI … EI`` carry raw
+        binary) as one operation."""
         nonlocal font, font_key, size, leading, tm, tlm
         nonlocal ctm, fill_color
         nonlocal char_spacing, word_spacing, hscale, rise, render_mode
-        lex = _Lexer(data)
-        stack: List = []
-        while True:
-            obj = lex.parse_object()
-            if obj is None and lex.pos >= len(lex.data):
-                break
-            if not isinstance(obj, Keyword):
-                stack.append(obj)
-                continue
-            op = obj.name
-            if op == b"BI":
-                # inline image (spec 8.9.7): abbreviated param dict up
-                # to ID, then one whitespace byte and raw sample bytes
-                # until a whitespace-delimited EI.  The engine emits
-                # the same content-addressed media span shape as Do'd
-                # Image XObjects — ref is the sha256 of the raw
-                # (possibly still filter-encoded) sample bytes, dims
-                # from /W //Width ///H //Height, placement from the CTM.
-                params: Dict = {}
-                while True:
-                    o1 = lex.parse_object()
-                    if o1 is None or (isinstance(o1, Keyword)
-                                      and o1.name == b"ID"):
-                        break
-                    o2 = lex.parse_object()
-                    if isinstance(o2, Keyword) and o2.name == b"ID":
-                        break
-                    if isinstance(o1, str):
-                        params[o1] = doc.resolve(o2)
-                if (lex.pos < len(lex.data)
-                        and lex.data[lex.pos] in b"\x00\t\n\x0c\r "):
-                    lex.pos += 1
-                m = _RE_EI.search(lex.data, lex.pos)
-                sample = lex.data[lex.pos:m.start() if m else len(lex.data)]
-                lex.pos = m.end() if m else len(lex.data)
-                import hashlib as _hl
-
+        for op, stack in _content_ops(data):
+            # text showing and positioning first: they are almost all
+            # of a text page's operations
+            if op == b"Tj":
+                if stack:
+                    show(stack[-1] if isinstance(stack[-1], (bytes, bytearray)) else b"")
+            elif op == b"Tm":
+                if len(stack) >= 6:
+                    tm = tlm = tuple(map(float, stack[-6:]))
+            elif op == b"Td":
+                if len(stack) >= 2:
+                    tlm = _mat_translate(float(stack[-2]), float(stack[-1]), tlm)
+                    tm = tlm
+            elif op == b"TJ":
+                if stack and isinstance(stack[-1], list):
+                    for item in stack[-1]:
+                        if isinstance(item, (bytes, bytearray)):
+                            show(bytes(item))
+                        elif isinstance(item, (int, float)):
+                            # spec 9.4.3: the number translates the text
+                            # matrix by -n/1000·Tfs·Th along its x axis
+                            tm = _mat_translate(
+                                -float(item) / 1000.0 * size * hscale,
+                                0.0, tm)
+            elif op == b"Tf":
+                if len(stack) >= 2:
+                    size = float(stack[-1])
+                    fname = stack[-2]
+                    font = fonts.get(fname)
+                    font_key = f"{fname}:{size:g}"
+            elif op == b"BI":
+                # inline image: the same content-addressed media span
+                # shape as Do'd Image XObjects — ref is the sha256 of
+                # the raw (possibly still filter-encoded) sample bytes,
+                # dims from /W //Width ///H //Height, placement from
+                # the CTM
+                raw_params, sample = stack
+                params = {k: doc.resolve(v) for k, v in raw_params.items()}
                 w = params.get("/W", params.get("/Width"))
                 h = params.get("/H", params.get("/Height"))
                 media.append({
                     "ref": "img://sha256/"
-                           + _hl.sha256(sample).hexdigest(),
+                           + hashlib.sha256(sample).hexdigest(),
                     "width": int(w) if isinstance(w, (int, float)) else 0,
                     "height": int(h) if isinstance(h, (int, float)) else 0,
                     "top": round(page_h - max(
@@ -1382,9 +1537,7 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                     # the payload is decodable without the PDF dict),
                     # dims from the image dict, placement from the CTM
                     # (images paint the unit square scaled by cm)
-                    import hashlib as _hl
-
-                    digest = _hl.sha256(
+                    digest = hashlib.sha256(
                         _image_store_payload(doc, xo)).hexdigest()
                     media.append({
                         "ref": f"img://sha256/{digest}",
@@ -1424,7 +1577,7 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                      ctm, fill_color, char_spacing, word_spacing,
                      hscale, rise, render_mode) = saved
             elif op == b"cm" and len(stack) >= 6:
-                ctm = _mat_mul(tuple(float(v) for v in stack[-6:]), ctm)
+                ctm = _mat_mul(tuple(map(float, stack[-6:])), ctm)
             elif op == b"q":
                 # full graphics-state save per spec 8.4.2: text font/
                 # size/leading and the fill color are graphics state
@@ -1442,17 +1595,6 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                      fill_color) = ctm_stack.pop()
             elif op == b"BT":
                 tm = tlm = _MAT_ID
-                stack.clear()
-            elif op == b"ET":
-                stack.clear()
-            elif op == b"Tf" and len(stack) >= 2:
-                size = float(stack[-1])
-                fname = stack[-2]
-                font = fonts.get(fname)
-                font_key = f"{fname}:{size:g}"
-            elif op == b"Td" and len(stack) >= 2:
-                tlm = _mat_translate(float(stack[-2]), float(stack[-1]), tlm)
-                tm = tlm
             elif op == b"TD" and len(stack) >= 2:
                 leading = -float(stack[-1])
                 tlm = _mat_translate(float(stack[-2]), float(stack[-1]), tlm)
@@ -1469,13 +1611,9 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                 rise = float(stack[-1])
             elif op == b"Tr" and stack:
                 render_mode = int(float(stack[-1]))
-            elif op == b"Tm" and len(stack) >= 6:
-                tm = tlm = tuple(float(v) for v in stack[-6:])
             elif op == b"T*":
                 tlm = _mat_translate(0.0, -leading, tlm)
                 tm = tlm
-            elif op == b"Tj" and stack:
-                show(stack[-1] if isinstance(stack[-1], (bytes, bytearray)) else b"")
             elif op == b"'" and stack:
                 tlm = _mat_translate(0.0, -leading, tlm)
                 tm = tlm
@@ -1488,16 +1626,6 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                 tlm = _mat_translate(0.0, -leading, tlm)
                 tm = tlm
                 show(stack[-1] if isinstance(stack[-1], (bytes, bytearray)) else b"")
-            elif op == b"TJ" and stack and isinstance(stack[-1], list):
-                for item in stack[-1]:
-                    if isinstance(item, (bytes, bytearray)):
-                        show(bytes(item))
-                    elif isinstance(item, (int, float)):
-                        # spec 9.4.3: the number translates the text
-                        # matrix by -n/1000·Tfs·Th along its x axis
-                        tm = _mat_translate(
-                            -float(item) / 1000.0 * size * hscale,
-                            0.0, tm)
             # fill-color operators (stroke variants ignored — text
             # renders with the fill color); scn components may include
             # a trailing pattern name, so keep only numerics
@@ -1514,10 +1642,78 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                          if isinstance(v, (int, float))]
                 if comps:
                     fill_color = _components_to_hex(comps)
-            stack.clear()
 
     exec_content(content, page_fonts, page_xobjects, 0)
     return runs, media, page_w, page_h
+
+
+class PageRecord(NamedTuple):
+    """One page as the line assembler consumes it (``engine.pagexml``):
+    page size in points, fontspec attribute dicts (ID, SIZE in points,
+    FAMILY, COLOR) and the text fragments in paint order.  Every value
+    is already what a pdftohtml ``-xml`` round trip would give back:
+    sizes rounded by ``%g``, text scrubbed of XML-invalid characters
+    and with its line ends normalized."""
+
+    width: float
+    height: float
+    fontspecs: List[Dict]
+    fragments: List[Fragment]
+
+
+def _xml_text(text: str) -> str:
+    """Character data as an XML parser hands it back: XML-invalid
+    characters dropped, CR LF and lone CR read as LF."""
+    text = _XML_INVALID.sub("", text)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _xml_attr(text: str) -> str:
+    """An attribute value as an XML parser hands it back: also tabs
+    and line ends read as spaces."""
+    return _xml_text(text).replace("\t", " ").replace("\n", " ")
+
+
+def _g(value: float) -> float:
+    """``value`` as written with ``%g`` and read back."""
+    return float(f"{value:g}")
+
+
+def pdf_page_records(raw: bytes) -> Tuple[List[PageRecord], List[List[Dict]]]:
+    """PDF bytes → (per-page records, per-page media ref lists).  The
+    single producer of page content: the raw-PDF extraction path
+    feeds the records straight to line assembly, and
+    ``pdf_to_page_xml_and_media`` serializes them."""
+    doc = PdfDocument(raw)
+    pages: List[PageRecord] = []
+    out_media: List[List[Dict]] = []
+    for page in doc.pages():
+        runs, media, page_w, page_h = _extract_page_runs(doc, page)
+        out_media.append(sorted(media, key=lambda m: (m["top"], m["left"])))
+        # one fontspec per unique (font resource, size, color)
+        spec_ids: Dict[str, str] = {}
+        fontspecs: List[Dict] = []
+        fragments: List[Fragment] = []
+        for run in runs:
+            font_id = spec_ids.get(run.font_key)
+            if font_id is None:
+                font_id = spec_ids[run.font_key] = str(len(spec_ids))
+                fontspecs.append({"ID": font_id, "SIZE": _g(run.size),
+                                  "FAMILY": _xml_attr(run.family),
+                                  "COLOR": run.color})
+            size_px = math.floor(run.size * 4 / 3)
+            text = _xml_text(run.text)
+            # pdftohtml wraps a styled run in <b>/<i>; only the outer
+            # element becomes a textAttributes range (ParseText.php:70-95)
+            style = "b" if run.bold else ("i" if run.italic else None)
+            fragments.append(Fragment(
+                round(page_h - run.y - size_px), round(run.x),
+                round(run.width), size_px, font_id, text,
+                {style: [{"start": 0, "end": len(text) - 1}]}
+                if style else None))
+        pages.append(PageRecord(_g(page_w), _g(page_h), fontspecs,
+                                fragments))
+    return pages, out_media
 
 
 def pdf_to_page_xml(raw: bytes) -> List[str]:
@@ -1531,45 +1727,36 @@ def pdf_media_refs(raw: bytes) -> List[List[Dict]]:
     content-addressed media spans the interleaved document model
     carries alongside text (the reference's pdftohtml text path drops
     images entirely, SURVEY §1.2; this is a new-capability tier)."""
-    return pdf_to_page_xml_and_media(raw)[1]
+    return pdf_page_records(raw)[1]
 
 
 def pdf_to_page_xml_and_media(raw: bytes
                               ) -> Tuple[List[str], List[List[Dict]]]:
-    """PDF bytes → (per-page XML strings, per-page media ref lists)."""
-    doc = PdfDocument(raw)
-    out: List[str] = []
-    out_media: List[List[Dict]] = []
-    for num, page in enumerate(doc.pages(), start=1):
-        runs, media, page_w, page_h = _extract_page_runs(doc, page)
-        out_media.append(sorted(media, key=lambda m: (m["top"], m["left"])))
-        # fontspec table per unique (font resource, size)
-        spec_ids: Dict[str, int] = {}
-        specs: List[str] = []
-        texts: List[str] = []
-        for run in runs:
-            if run.font_key not in spec_ids:
-                spec_ids[run.font_key] = len(spec_ids)
-                specs.append(
-                    f'<fontspec id="{spec_ids[run.font_key]}" '
-                    f'size="{run.size:g}" family="{escape(run.family)}" '
-                    f'color="{run.color}"/>')
-            size_px = math.floor(run.size * 4 / 3)
-            top = round(page_h - run.y - size_px)
-            left = round(run.x)
-            width = round(run.width)
-            inner = escape(_XML_INVALID.sub("", run.text))
-            # pdftohtml wraps styled runs in <b>/<i> child elements —
-            # the engine turns these into textAttributes ranges
-            if run.italic:
-                inner = f"<i>{inner}</i>"
-            if run.bold:
-                inner = f"<b>{inner}</b>"
-            texts.append(
-                f'<text top="{top}" left="{left}" width="{width}" '
-                f'height="{size_px}" font="{spec_ids[run.font_key]}">'
-                f"{inner}</text>")
-        out.append(
-            f'<page number="{num}" width="{page_w:g}" height="{page_h:g}">'
-            + "".join(specs) + "".join(texts) + "</page>")
-    return out, out_media
+    """PDF bytes → (per-page pdftohtml ``-xml`` strings, per-page media
+    ref lists): a serializer of ``pdf_page_records``.  It produces the
+    ``pdf_page_xml`` input kind, and it is the reference the tests
+    compare the raw path against; raw-PDF extraction and the CLI do not
+    go through it.  A bold italic run is written as ``<b>`` alone: the
+    only range a parser of this XML keeps."""
+    pages, media = pdf_page_records(raw)
+    return [_page_xml(num, page)
+            for num, page in enumerate(pages, start=1)], media
+
+
+def _page_xml(number: int, page: PageRecord) -> str:
+    specs = "".join(
+        f'<fontspec id="{spec["ID"]}" size="{spec["SIZE"]:g}" '
+        f'family={quoteattr(spec["FAMILY"])} color="{spec["COLOR"]}"/>'
+        for spec in page.fontspecs)
+    texts = []
+    for frag in page.fragments:
+        inner = escape(frag.value)
+        if frag.text_attrs:
+            tag = next(iter(frag.text_attrs))
+            inner = f"<{tag}>{inner}</{tag}>"
+        texts.append(
+            f'<text top="{frag.top}" left="{frag.left}" '
+            f'width="{frag.width}" height="{frag.height}" '
+            f'font="{frag.font}">{inner}</text>')
+    return (f'<page number="{number}" width="{page.width:g}" '
+            f'height="{page.height:g}">{specs}{"".join(texts)}</page>')

@@ -11,7 +11,8 @@ Dispatch per input span kind (FIXTURES.md §1):
 * ``html``          → Shakespeare-path DOM walk → screenplay spans
 * ``text``          → passthrough ``Text`` spans
 * ``pdf_page_xml``  → line assembly + block engine (engine/)
-* ``pdf_raw``       → native PDF front-end → page tuples → block engine
+* ``pdf_raw``       → native PDF front-end → typed page records → line
+  assembly + block engine (no XML)
 * ``image``/``media`` → passthrough at their relative position
 
 A document is the atom of parallelism (the reference processed one

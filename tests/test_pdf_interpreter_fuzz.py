@@ -273,16 +273,10 @@ def _rot_tm(rot: int, x0: float, y0: float, w: int, h: int):
     return (a, b, c, d, ex, ey)
 
 
-@pytest.mark.parametrize("seed,rot", [(s, r) for s in range(6)
-                                      for r in (90, 180, 270)])
-def test_rotated_twin_matches_unrotated(seed, rot):
-    from ray_script_extract.sources.pdfnative import pdf_to_page_xml
-
-    content, _ = _random_program(seed)
-    pdf_plain = _pdf_around(content)
-
-    # rewrite every absolute Tm: "1 0 0 1 x y Tm" -> canceling rotated
-    # form placing the same display point on the rotated page
+def _rotated_twin_pdf(content: bytes, rot: int) -> bytes:
+    """``_pdf_around(content)`` on a /Rotate ``rot`` page, every
+    absolute "1 0 0 1 x y Tm" rewritten to the canceling rotated form
+    that places the same display point."""
     import re as _re
 
     w, h = 612, PAGE_H
@@ -301,10 +295,6 @@ def test_rotated_twin_matches_unrotated(seed, rot):
     text = content.decode("latin-1")
     rewritten = _re.sub(r"1 0 0 1 ([\d.]+) ([\d.]+) Tm", rewrite, text)
     assert rewritten != text  # the generator always opens with a Tm
-    # Relative ops (Td/TD/T*/leading) move in TEXT space, but they map
-    # through tlm·CTM whose linear part is IDENTITY in both documents
-    # (identity·identity vs R_cancel·R_rot), so every display position
-    # — not just the absolute-Tm ones — must agree exactly.
     pdf_rot = _pdf_around(rewritten.encode("latin-1")).replace(
         b"<< /Type /Page /Parent 4 0 R /Contents 1 0 R >>",
         b"<< /Type /Page /Parent 4 0 R /Contents 1 0 R /Rotate %d >>"
@@ -313,7 +303,21 @@ def test_rotated_twin_matches_unrotated(seed, rot):
         pdf_rot = pdf_rot.replace(
             b"/MediaBox [0 0 612 %d]" % PAGE_H,
             b"/MediaBox [0 0 %d 612]" % PAGE_H)
-    assert pdf_to_page_xml(pdf_rot) == pdf_to_page_xml(pdf_plain)
+    return pdf_rot
+
+
+@pytest.mark.parametrize("seed,rot", [(s, r) for s in range(6)
+                                      for r in (90, 180, 270)])
+def test_rotated_twin_matches_unrotated(seed, rot):
+    from ray_script_extract.sources.pdfnative import pdf_to_page_xml
+
+    content, _ = _random_program(seed)
+    # Relative ops (Td/TD/T*/leading) move in TEXT space, but they map
+    # through tlm·CTM whose linear part is IDENTITY in both documents
+    # (identity·identity vs R_cancel·R_rot), so every display position
+    # — not just the absolute-Tm ones — must agree exactly.
+    assert (pdf_to_page_xml(_rotated_twin_pdf(content, rot))
+            == pdf_to_page_xml(_pdf_around(content)))
 
 
 # --------------------------------------------------------------------------

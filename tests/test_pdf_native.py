@@ -133,3 +133,23 @@ def test_reference_example_pdf_real_world():
     assert texts.index("Example Title") < texts.index("INT. EXAMPLE SCENE - DAY")
     assert (texts.index("INT. EXAMPLE SCENE - DAY")
             < texts.index("I am saying example dialogue."))
+
+
+def test_font_built_once_per_font_dict(monkeypatch):
+    """Every page and Form XObject of a document shares one ``_Font``
+    per font dict: a 3-page, 3-font document builds 3, not 9."""
+    from ray_script_extract.sources import pdfnative
+
+    built = []
+    original = pdfnative._Font.__init__
+
+    def counting(self, doc, font_dict):
+        built.append(id(font_dict))
+        original(self, doc, font_dict)
+
+    monkeypatch.setattr(pdfnative._Font, "__init__", counting)
+    pdf = build_pdf([screenplay_pdf_lines(SCENES_1),
+                     screenplay_pdf_lines(SCENES_2),
+                     screenplay_pdf_lines(SCENES_1)])
+    pdfnative.pdf_page_records(pdf)
+    assert len(built) == len(set(built)) == 3
