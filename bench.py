@@ -38,17 +38,6 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 os.environ.setdefault("MALLOC_MMAP_THRESHOLD_", "1073741824")
 os.environ.setdefault("MALLOC_TRIM_THRESHOLD_", "1073741824")
 
-# Every queries() entry is benchmarked EXCEPT the ones below, each
-# with a printed reason (no silent caps — VERDICT r2 #2).  The list is
-# derived from the registry so a new query can't silently skip bench.
-BENCH_OMIT = {
-    "q3_top_orders_native": "Ray Dataset.join aggregator actor pool costs"
-                            " ~15 s cold spawn per session on this sandbox"
-                            " (documented in pipelines/joins.py); the"
-                            " task-pool join twin q3_top_orders IS benched",
-}
-
-
 def _consume(res) -> int:
     """Drain a result without driver-side materialization of big data."""
     if hasattr(res, "count"):
@@ -93,11 +82,12 @@ def main() -> None:
 
     from ray_script_extract.pipelines.queries import QUERIES
 
-    bench_queries = [k for k in QUERIES if k not in BENCH_OMIT]
+    # every queries() entry is benchmarked (no silent caps)
+    bench_queries = list(QUERIES)
 
     # The minhash pair table is a derive-once-per-snapshot artifact
     # (dedup.get_minhash_pairs session share — same discipline as the
-    # extract-once flagship seam).  Registry order puts the policy
+    # extract-once flagship seam).  Registry order may put the policy
     # consumers (dedup_components / dedup_near_keep_best) before the
     # producer, so they would pay the one-time derivation on THEIR
     # lines; run the producer first so the derivation cost lands on
@@ -173,7 +163,6 @@ def main() -> None:
         "value": total,
         "unit": "sec",
         "queries": timings,
-        "omitted": BENCH_OMIT,
         "stages": stages,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,

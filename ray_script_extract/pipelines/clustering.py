@@ -34,7 +34,14 @@ import ray.data
 
 from .joins import sorted_small
 
-from .similarity import _read_emb, kmeans_fit, _sample_matrix
+from .similarity import _emb_count, _read_emb, kmeans_fit, _sample_matrix
+
+#: Input rows up to which the per-pass partials of the embedding folds
+#: (k-means Lloyd passes here, the PCA moment fold in pca.py) reduce on
+#: the driver: k × num_blocks rows is a few MB below this, so a shuffle
+#: barrier per pass would be pure overhead.  Past it they reduce on a
+#: keyed exchange.  Chosen from the parquet footer, no data I/O.
+_DRIVER_COMBINE_ROWS = 50_000_000
 
 
 def _normalized_ds(sf_dir: str) -> "ray.data.Dataset":
@@ -173,26 +180,18 @@ def _lloyd_pass(block_refs: list, centroids: np.ndarray,
     return new, float(parts["inertia"].sum()), int(parts["n"].sum())
 
 
-def _fit_centroids(sf_dir: str, n_clusters: int, n_iter: int,
-                   force_shuffle_combine: bool = False):
+def _fit_centroids(sf_dir: str, n_clusters: int, n_iter: int):
     """Shared fit loop: seed on the bounded driver sample, refine with
     ``n_iter`` distributed Lloyd passes.  Returns ``(norm_ds,
     centroids, trajectory)`` — the materialized normalized dataset is
     handed back so callers reuse its object-store blocks for their own
     final pass instead of re-reading parquet."""
-    import pyarrow.parquet as pq
-
     sample = _sample_matrix(sf_dir)
     sample /= np.maximum(np.linalg.norm(sample, axis=1, keepdims=True),
                          1e-12)
     centroids = kmeans_fit(sample, n_clusters)
 
-    # footer-only strategy pick (no data I/O): partials are
-    # k × num_blocks rows; below ~50M input rows that is a few MB, so
-    # the per-pass shuffle barrier is pure overhead
-    n_rows = pq.ParquetFile(
-        f"{sf_dir}/embeddings.parquet").metadata.num_rows
-    driver_combine = n_rows <= 50_000_000 and not force_shuffle_combine
+    driver_combine = _emb_count(sf_dir) <= _DRIVER_COMBINE_ROWS
 
     norm_ds = _normalized_ds(sf_dir)
     block_refs = _dataset_block_refs(norm_ds)
@@ -206,8 +205,7 @@ def _fit_centroids(sf_dir: str, n_clusters: int, n_iter: int,
 
 
 def cluster_embeddings(sf_dir: str, n_clusters: int = 16,
-                       n_iter: int = 5, return_stats: bool = False,
-                       force_shuffle_combine: bool = False):
+                       n_iter: int = 5, return_stats: bool = False):
     """Full-dataset spherical k-means: seed on the bounded sample
     (``kmeans_fit``), refine with ``n_iter`` distributed Lloyd passes,
     then one final streaming pass emits the ``(vec_id, cluster)``
@@ -217,7 +215,7 @@ def cluster_embeddings(sf_dir: str, n_clusters: int = 16,
     additionally returns the inertia trajectory and final centroids
     (n_iter floats + k×dim — driver-bounded metadata)."""
     norm_ds, centroids, trajectory = _fit_centroids(
-        sf_dir, n_clusters, n_iter, force_shuffle_combine)
+        sf_dir, n_clusters, n_iter)
 
     bc = ray.put(centroids)
 
@@ -264,7 +262,7 @@ def _max_prior_sim(m: np.ndarray, budget_elems: int = 32_000_000
 
 
 def dedup_semantic(sf_dir: str, n_clusters: int = 16, eps: float = 0.6,
-                   n_iter: int = 3, force_shuffle_combine: bool = False):
+                   n_iter: int = 3):
     """SemDeDup-style semantic deduplication (Abbas et al.,
     arXiv:2303.09540): spherical-k-means-cluster the embedding table,
     then inside each cluster mark as duplicates all points whose
@@ -291,8 +289,7 @@ def dedup_semantic(sf_dir: str, n_clusters: int = 16, eps: float = 0.6,
     converter); extends the training-data curation family."""
     from .joins import hash_partitioned_map
 
-    norm_ds, centroids, _ = _fit_centroids(
-        sf_dir, n_clusters, n_iter, force_shuffle_combine)
+    norm_ds, centroids, _ = _fit_centroids(sf_dir, n_clusters, n_iter)
     bc = ray.put(centroids)
 
     def tag(batch: pa.Table) -> pa.Table:

@@ -994,10 +994,9 @@ def curation_funnel(sf_dir: str) -> pd.DataFrame:
         raise ValueError(
             "curation_funnel's one-pass plan needs both broadcast "
             "tables under budget; run the constituent pipelines "
-            "(gopher_quality_filter, dedup_exact, decontaminate_ngrams "
-            "force_partitioned, dsir_importance_weights force_join) "
-            "step-wise instead — their partitioned twins are the "
-            "scale path.")
+            "(gopher_quality_filter, dedup_exact, decontaminate_ngrams, "
+            "dsir_importance_weights) step-wise instead — each takes "
+            "its partitioned plan past the budget by itself.")
     handle = ray.put((bench, *_dsir_ppm_arrays(cnt_tbl, T, R, V)))
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

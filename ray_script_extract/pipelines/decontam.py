@@ -186,8 +186,7 @@ def _decontam_partitioned(sf_dir: str, k: int = 3):
         partial, ["doc_id"], {"n_hits": "sum"}), "doc_id")
 
 
-def decontaminate_ngrams(sf_dir: str, k: int = 3,
-                         force_partitioned: bool = False):
+def decontaminate_ngrams(sf_dir: str, k: int = 3):
     """Contaminated training docs: ``(doc_id, n_hits)`` where
     ``n_hits`` is the count of DISTINCT k-word shingles the doc shares
     with the benchmark slice (doc_id % 20 == 0), sorted by doc_id.
@@ -197,10 +196,10 @@ def decontaminate_ngrams(sf_dir: str, k: int = 3,
     Two physical plans, same result (pinned by
     ``tests/test_decontam.py``): benchmark shingle set within the
     broadcast budget → one ``ray.put`` + a shuffle-free streaming
-    membership pass; above it (or ``force_partitioned``) → the
+    membership pass; above it → the
     hash-partitioned semi-join (``_decontam_partitioned``), which
     never materializes the set anywhere."""
-    bench = None if force_partitioned else _bench_hash_set(sf_dir, k=k)
+    bench = _bench_hash_set(sf_dir, k=k)
     if bench is None:
         return _decontam_partitioned(sf_dir, k=k)
     bench_ref = ray.put(bench)
@@ -814,9 +813,9 @@ def contamination_by_source(sf_dir: str, k: int = 3):
     if bench is None:
         raise ValueError(
             "benchmark shingle set exceeds the broadcast budget; run "
-            "decontaminate_ngrams(force_partitioned=True) and roll up "
-            "by source instead — the partitioned semi-join is the "
-            "scale path.")
+            "decontaminate_ngrams, which takes its partitioned "
+            "semi-join past that budget by itself, and roll up by "
+            "source instead.")
     bench_ref = ray.put(bench)
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

@@ -883,8 +883,7 @@ def get_minhash_pairs(sf_dir: str, pair_source=None) -> "ray.data.Dataset":
     return _SHARED_PAIRS[sf_dir]
 
 
-def dedup_components(sf_dir: str, pair_source=None, max_iters: int = 30,
-                     force_distributed: bool = False):
+def dedup_components(sf_dir: str, pair_source=None, max_iters: int = 30):
     """Connected components over the minhash near-dup pair graph —
     the step between "find dup pairs" and "pick one canonical doc per
     CLUSTER" (pairwise keep-min under-deletes: a~b, b~c keeps both a
@@ -894,8 +893,7 @@ def dedup_components(sf_dir: str, pair_source=None, max_iters: int = 30,
     ``_DRIVER_CC_EDGES`` (the BOUND that makes the driver read legal)
     the components are solved in one vectorized numpy pass
     (min-neighbor hook + pointer jumping, O(log n) rounds).  Above the
-    budget — or under ``force_distributed`` (tests) — distributed
-    min-label propagation runs: every node starts labelled with its
+    budget distributed min-label propagation runs: every node starts labelled with its
     own id; each round propagates labels one hop along the (static,
     materialized) edge list — one partitioned join edges⨝labels plus
     one min-reduce per round, both on the keyed-op backbone.  The label
@@ -936,7 +934,7 @@ def dedup_components(sf_dir: str, pair_source=None, max_iters: int = 30,
             "csize": pa.array([], pa.int64()),
         }))
 
-    if n_edges <= _DRIVER_CC_EDGES and not force_distributed:
+    if n_edges <= _DRIVER_CC_EDGES:
         # bounded by the budget check above — not an unbounded
         # driver materialization
         df = edges.to_pandas()
@@ -1026,8 +1024,7 @@ FROM labels ORDER BY doc_id
 _KEEP_BEST_BROADCAST_ROWS = 5_000_000
 
 
-def dedup_near_keep_best(sf_dir: str, pair_source=None,
-                         force_join: bool = False):
+def dedup_near_keep_best(sf_dir: str, pair_source=None):
     """Full near-dedup policy: minhash pairs → transitive clusters
     (``dedup_components``) → keep ONE doc per cluster (longest by
     n_chars, tie → min doc_id); docs in no near-dup pair are their
@@ -1045,14 +1042,14 @@ def dedup_near_keep_best(sf_dir: str, pair_source=None,
       2-int projection), then the full decision table streams out of
       ONE shuffle-free documents pass against the broadcast decisions
       — the only barrier left is the final doc_id sort;
-    * above the budget (or ``force_join``) → partitioned left join
+    * above the budget → partitioned left join
       docs⨝clusters + keyed winner-selection reduce, never
       materializing the cluster table anywhere."""
     comp = dedup_components(sf_dir, pair_source=pair_source)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "n_chars"])
 
-    if not force_join and comp.count() <= _KEEP_BEST_BROADCAST_ROWS:
+    if comp.count() <= _KEEP_BEST_BROADCAST_ROWS:
         return _keep_best_broadcast(comp, docs)
     return _keep_best_join(comp, docs)
 

@@ -2,12 +2,12 @@
 
     corpus (Dataset of interleaved docs)
       → map_batches(add_size_stats)            [stateless, vectorized]
-      → map_batches(ExtractorActor, pyarrow)   [actor pool, warm state]
+      → map_batches(extract_batch, pyarrow)    [task pool, warm state]
       → write_parquet(partitioned) + lineage   [resumable]
 
 Everything streams: no driver-side materialization; blocks flow with
 backpressure.  The heavy-doc skew is absorbed by small batch sizes
-(an actor picks up at most ``batch_size`` docs at once, so one
+(a task picks up at most ``batch_size`` docs at once, so one
 400-page outlier never rides with 255 friends).
 """
 
@@ -22,17 +22,12 @@ HEAVY_BUCKET_THRESHOLD = 17  # 2^17 = 128 KiB of span text
 
 
 def build_extract_pipeline(ds: "ray.data.Dataset", *,
-                           concurrency=None,
                            batch_size: int = 32,
-                           mode: str = "tasks",
                            skew_defuse: bool = False) -> "ray.data.Dataset":
-    """mode="tasks" (default): plain task pool with module-level warm
-    state — pre-started Ray workers are reused, so the compiled
-    predicate tables are built once per worker process.  mode="actors":
-    explicit actor pool; use when the stage grows genuinely per-actor
-    state (model weights, mutable caches) — on this box a cold 32-actor
-    pool costs ~60 s of spawn before the first batch, so it is not the
-    default for regex-warm-state-only extraction.
+    """Plain task pool with module-level warm state — pre-started Ray
+    workers are reused, so the compiled predicate tables are built once
+    per worker process (a cold 32-actor pool costs ~60 s of spawn on
+    this box before the first batch).
 
     skew_defuse=True splits the stream on the size bucket: heavy docs
     (≥ 2^17 bytes of span text — multi-hundred-page outliers) go
@@ -43,23 +38,13 @@ def build_extract_pipeline(ds: "ray.data.Dataset", *,
     branches is not span order (per-doc spans stay ordered)."""
     import pyarrow.compute as pc
 
-    import ray
-
-    from ..stages.extract import ExtractorActor, extract_batch
+    from ..stages.extract import extract_batch
     from ..stages.sizebucket import add_size_stats
 
     ds = ds.map_batches(add_size_stats, batch_format="pyarrow",
                         zero_copy_batch=True)
 
     def run_extract(d: "ray.data.Dataset", bs) -> "ray.data.Dataset":
-        if mode == "actors":
-            conc = concurrency
-            if conc is None:
-                n_cpus = int(ray.cluster_resources().get("CPU", 4))
-                conc = (1, max(1, n_cpus - 1))
-            return d.map_batches(ExtractorActor, batch_format="pyarrow",
-                                 batch_size=bs, concurrency=conc,
-                                 zero_copy_batch=True)
         return d.map_batches(extract_batch, batch_format="pyarrow",
                              batch_size=bs, zero_copy_batch=True)
 
@@ -166,12 +151,11 @@ def read_corpus_jsonl(path: str,
 
 
 def extract_corpus(num_docs: int, seed: int = 42, *,
-                   concurrency=None, batch_size: int = 32,
+                   batch_size: int = 32,
                    skewed: bool = True,
                    docs_per_block: int = 32) -> "ray.data.Dataset":
     from ..corpus import corpus_dataset
 
     ds = corpus_dataset(num_docs, seed=seed, skewed=skewed,
                         docs_per_block=docs_per_block)
-    return build_extract_pipeline(ds, concurrency=concurrency,
-                                  batch_size=batch_size)
+    return build_extract_pipeline(ds, batch_size=batch_size)

@@ -89,11 +89,10 @@ def docs_to_interleaved(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(to_spans, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def flagship_extract(sf_dir: str, *, concurrency=None,
+def flagship_extract(sf_dir: str, *,
                      batch_size: int = 64) -> "ray.data.Dataset":
     """documents.parquet → interleaved corpus → extracted span table."""
     return build_extract_pipeline(docs_to_interleaved(sf_dir),
-                                  concurrency=concurrency,
                                   batch_size=batch_size)
 
 

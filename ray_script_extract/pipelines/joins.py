@@ -1,15 +1,14 @@
 """Join + partitioned-reduce strategies.
 
 * ``broadcast`` — small side collected once and shipped via ray.put
-  (queries.py q5/top_brands use this inline).
-* ``Dataset.join`` — Ray Data's native hash join (aggregator actor
-  pool); kept in ``q3_top_orders_native`` — on this sandbox the actor
-  pool costs ~15 s of cold spawn per run, so the default q3 uses:
+  (``broadcast_int_lookup``/``broadcast_lookup_table``), used while the
+  dimension's parquet footer fits ``_BROADCAST_LOOKUP_ROWS``.
 * ``hash_join_via_groupby`` — the classic partitioned shuffle join in
   task-only primitives: tag both sides, union, hash-partition on the
-  key (one groupby shuffle on a small int partition id), then ONE
-  vectorized merge per partition.  Same all-to-all movement a cluster
-  join performs, none of the actor-pool fixed cost.
+  key (one exchange on a small int partition id), then ONE vectorized
+  merge per partition.  Same all-to-all movement a cluster join
+  performs, none of the cold actor-pool cost of Ray Data's native
+  ``Dataset.join`` (~15 s per run on this sandbox).
 * ``hash_partitioned_map`` — the backbone for keyed window/stream ops
   (sessionize, rolling, as-of, grouped top-k): ONE shuffle on a
   32-way partition id, then a pandas-vectorized reduce that handles
@@ -24,7 +23,6 @@ query, not one per batch).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -69,23 +67,14 @@ _HASH_MULT = np.uint64(1000003)
 # the split tasks' count vectors (tiny int arrays), so empty
 # partitions schedule nothing, matching map_groups' only-existing-
 # groups contract.  Within a partition the row order is (block order,
-# in-block order) — deterministic, but different from the sort path's;
-# every merge fn here is order-insensitive (they groupby/sort/searchsorted
-# internally), and the sort twin stays available for A/B pinning via
-# RAY_GRAFT_EXCHANGE=sort (tests pin bit-identical results on both).
+# in-block order) — deterministic, and every merge fn here is
+# order-insensitive (they groupby/sort/searchsorted internally).
 #
 # Scale notes: this is the same all-to-all a cluster shuffle performs —
 # map outputs live in the object store (spillable), reduce reads pull
 # remotely on a multi-node cluster.  The driver coordinates task
 # submission only (B + P task handles, B count vectors); no row data
 # crosses it.
-
-_EXCHANGE_ENV = "RAY_GRAFT_EXCHANGE"
-
-
-def _exchange_engine() -> str:
-    return os.environ.get(_EXCHANGE_ENV, "task")
-
 
 @ray.remote
 def _exchange_split(block, part_col: str, num_partitions: int):
@@ -120,8 +109,7 @@ def _exchange_merge(fn, *parts):
     _rse._tune_malloc()
     # permissive: one side of a join union may carry a narrower
     # physical type (e.g. int32 parquet dictionary column) than the
-    # other side's declared pad (int64) — unify upward exactly as the
-    # sort engine's pandas round-trip did
+    # other side's declared pad (int64) — unify upward
     t = pa.concat_tables(parts, promote_options="permissive") \
         if len(parts) > 1 else parts[0]
     return fn(t)
@@ -132,13 +120,8 @@ def exchange_map_partitions(ds: "ray.data.Dataset", part_col: str,
                             fn: Callable[[pa.Table], pa.Table]
                             ) -> "ray.data.Dataset":
     """Co-locate rows by the small-int ``part_col`` and apply ``fn``
-    (pa.Table -> pa.Table) once per non-empty partition.  Engine picked
-    by $RAY_GRAFT_EXCHANGE: "task" (default, two-stage hash shuffle in
-    raw tasks — no sort barrier) or "sort" (Ray Data's native
-    groupby/map_groups, kept as the bit-identical A/B twin)."""
-    if _exchange_engine() == "sort":
-        return ds.groupby(part_col).map_groups(fn, batch_format="pyarrow")
-
+    (pa.Table -> pa.Table) once per non-empty partition: the two-stage
+    hash shuffle in raw tasks described above (no sort barrier)."""
     block_refs = []
     for bundle in ds.iter_internal_ref_bundles():
         block_refs.extend(bundle.block_refs)
@@ -293,13 +276,6 @@ def hash_partitioned_map(ds: "ray.data.Dataset", keys: Sequence[str],
     tagged = ds.map_batches(tag, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    if _exchange_engine() == "sort":
-        def reduce(df: pd.DataFrame) -> pd.DataFrame:
-            return fn(df.drop(columns="__gp"))
-
-        return tagged.groupby("__gp").map_groups(reduce,
-                                                 batch_format="pandas")
-
     def reduce_tbl(t: pa.Table) -> pa.Table:
         import ray_script_extract as _rse
         _rse._tune_malloc()
@@ -430,11 +406,10 @@ def hash_join_via_groupby(left: "ray.data.Dataset", right: "ray.data.Dataset",
     all_cols = left_cols + [n for n, _ in pad_for_left]
 
     def _pad_array(n: int, typ: pa.DataType) -> pa.Array:
-        # ZERO-FILL, not nulls: Ray's sort may round-trip blocks
-        # through pandas, where a null-padded int/uint column floats
-        # to float64 (silently corrupting uint64 bitsets and int
-        # keys).  Pad values are never read — the merge splits sides
-        # on __side before touching any column.
+        # ZERO-FILL, not nulls: a null-padded int/uint column floats
+        # to float64 on any pandas round-trip (silently corrupting
+        # uint64 bitsets and int keys).  Pad values are never read —
+        # the merge splits sides on __side before touching any column.
         if pa.types.is_integer(typ) or pa.types.is_floating(typ):
             return pa.nulls(n, typ).fill_null(0)
         if pa.types.is_string(typ):
@@ -534,12 +509,12 @@ def hash_join_via_groupby(left: "ray.data.Dataset", right: "ray.data.Dataset",
 _BROADCAST_LOOKUP_ROWS = 5_000_000  # ~80 MB of (key, val) int64 pairs
 
 
-def broadcast_int_lookup(path: str, key_col: str, val_col: str,
-                         budget_rows: int = _BROADCAST_LOOKUP_ROWS):
+def broadcast_int_lookup(path: str, key_col: str, val_col: str):
     """Budgeted broadcast of a small dimension: if the parquet
-    footer's row count fits ``budget_rows``, read (key, val), sort by
-    key and ship ONE (keys, vals) pair via ray.put — map tasks join
-    with a searchsorted instead of an all-to-all shuffle.  Returns
+    footer's row count fits ``_BROADCAST_LOOKUP_ROWS`` (read at call
+    time), read (key, val), sort by key and ship ONE (keys, vals) pair
+    via ray.put — map tasks join with a searchsorted instead of an
+    all-to-all shuffle.  Returns
     None when the dimension exceeds the budget (caller falls back to
     the partitioned shuffle join).  The row count comes from parquet
     METADATA — deciding the strategy costs no data I/O.
@@ -552,7 +527,7 @@ def broadcast_int_lookup(path: str, key_col: str, val_col: str,
 
     import ray
 
-    if pq.ParquetFile(path).metadata.num_rows > budget_rows:
+    if pq.ParquetFile(path).metadata.num_rows > _BROADCAST_LOOKUP_ROWS:
         return None
     t = pq.read_table(path, columns=[key_col, val_col])
     keys = np.asarray(t[key_col], dtype=np.int64)
@@ -561,8 +536,7 @@ def broadcast_int_lookup(path: str, key_col: str, val_col: str,
     return ray.put((keys[order], vals[order]))
 
 
-def broadcast_lookup_table(path: str, key_col: str, val_cols: List[str],
-                           budget_rows: int = _BROADCAST_LOOKUP_ROWS):
+def broadcast_lookup_table(path: str, key_col: str, val_cols: List[str]):
     """General form of ``broadcast_int_lookup``: budgeted broadcast of
     an int-keyed dimension with ARBITRARY value columns (strings
     included).  Ships (sorted keys, {col: values-in-key-order}) via
@@ -574,7 +548,7 @@ def broadcast_lookup_table(path: str, key_col: str, val_cols: List[str],
 
     import ray
 
-    if pq.ParquetFile(path).metadata.num_rows > budget_rows:
+    if pq.ParquetFile(path).metadata.num_rows > _BROADCAST_LOOKUP_ROWS:
         return None
     t = pq.read_table(path, columns=[key_col] + list(val_cols))
     keys = np.asarray(t[key_col], dtype=np.int64)

@@ -16,10 +16,11 @@ Determinism (float addition is not associative): partials fold in a
 fixed TWO-LEVEL order keyed by data, not scheduling — level 1 groups
 partials by ``batch_ord % _FOLD_FANOUT`` and sums each group sorted
 by batch_ord; level 2 sums the ≤ _FOLD_FANOUT group rows sorted by
-group id.  The bounded-metadata default folds both levels driver-side;
-``force_shuffle_combine=True`` runs level 1 as a keyed exchange — the
-100-TB path where even 1-row-per-block partials outgrow the driver —
-and is pinned BIT-IDENTICAL to the default in tests/test_pca.py
+group id.  While the embeddings footer row count fits
+``clustering._DRIVER_COMBINE_ROWS`` (the k-means fold's budget) both
+levels fold driver-side; past it level 1 runs as a keyed exchange —
+the 100-TB path where even 1-row-per-block partials outgrow the
+driver — pinned BIT-IDENTICAL to the driver fold in tests/test_pca.py
 because both paths apply the same fold tree.
 
 Sign convention: each component's entry of largest |value| (lowest
@@ -85,10 +86,12 @@ def _fold_group(df: pd.DataFrame) -> pd.DataFrame:
     })
 
 
-def _fit_moments(sf_dir: str, force_shuffle_combine: bool = False):
+def _fit_moments(sf_dir: str):
     """(n, mean, covariance) from one streaming pass.  Covariance is
     the population form Σ(x-μ)(x-μ)ᵀ/n = XᵀX/n − μμᵀ."""
+    from . import clustering
     from .joins import hash_partitioned_map
+    from .similarity import _emb_count
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
@@ -102,7 +105,7 @@ def _fit_moments(sf_dir: str, force_shuffle_combine: bool = False):
                            group_keys=False)
                   .apply(_fold_group).reset_index(drop=True))
 
-    if force_shuffle_combine:
+    if _emb_count(sf_dir) > clustering._DRIVER_COMBINE_ROWS:
         # the 100-TB path: level-1 fold runs as a keyed exchange so
         # only ≤ _FOLD_FANOUT rows ever reach the driver
         tagged = partials.map_batches(
@@ -149,24 +152,22 @@ def _principal_components(cov: np.ndarray, n_components: int):
     return vals, w
 
 
-def pca_fit(sf_dir: str, n_components: int = 8,
-            force_shuffle_combine: bool = False):
+def pca_fit(sf_dir: str, n_components: int = 8):
     """Fit only: returns (mean, components (k,d), explained_variance
     (k,), total_variance) — driver-bounded metadata, reusable by any
     projection/whitening stage."""
-    _, mean, cov = _fit_moments(sf_dir, force_shuffle_combine)
+    _, mean, cov = _fit_moments(sf_dir)
     vals, w = _principal_components(cov, n_components)
     return mean, w, vals, float(np.trace(cov))
 
 
-def pca_project(sf_dir: str, n_components: int = 8,
-                force_shuffle_combine: bool = False):
+def pca_project(sf_dir: str, n_components: int = 8):
     """Distributed PCA projection: fit on one moment pass, then one
     shuffle-free broadcast pass emits ``(vec_id, pc1..pck)`` sorted by
     vec_id.  Rows-only (eigendecompositions are not SQL-expressible);
     exactness is pinned against a single-process numpy twin and the
     shuffle-combine path in tests/test_pca.py."""
-    mean, w, _, _ = pca_fit(sf_dir, n_components, force_shuffle_combine)
+    mean, w, _, _ = pca_fit(sf_dir, n_components)
     bc = ray.put((mean, w))
 
     def project(batch: pa.Table) -> pa.Table:

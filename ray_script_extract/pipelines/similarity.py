@@ -235,8 +235,7 @@ _BROADCAST_VERIFY_BYTES = 256 << 20  # ≤256 MB normalized matrix → broadcast
 
 
 def near_dup_embeddings_lsh(sf_dir: str, threshold: float = 0.4,
-                            target_recall: float = 0.995,
-                            force_join_verify: bool = False):
+                            target_recall: float = 0.995):
     """Bucketed embedding near-dup: random-hyperplane LSH prefilter →
     exact cosine verify on candidate pairs only (round(cos,4) ≥ τ,
     a < b — same contract as the exact ``near_dup_embeddings``).
@@ -255,8 +254,8 @@ def near_dup_embeddings_lsh(sf_dir: str, threshold: float = 0.4,
     pair batch verifies by indexed lookup (zero extra shuffles); above
     the budget, candidate pairs join the packed embedding column back
     through two partitioned joins (no broadcast, no O(N²) scan — the
-    100 TB path, also exercised directly in tests via
-    ``force_join_verify``)."""
+    100 TB path, pinned equal to the broadcast verify in
+    tests/test_similarity.py)."""
     n_rows = _emb_count(sf_dir)
     bits, n_bands = _lsh_params(n_rows, threshold, target_recall)
 
@@ -278,8 +277,7 @@ def near_dup_embeddings_lsh(sf_dir: str, threshold: float = 0.4,
     band_rows = emb.map_batches(bands, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    if (n_rows * dim * 8 <= _BROADCAST_VERIFY_BYTES
-            and not force_join_verify):
+    if n_rows * dim * 8 <= _BROADCAST_VERIFY_BYTES:
         # small-side broadcast: the budget check above BOUNDS the
         # driver read, so this is not an unbounded materialization
         import pyarrow.parquet as pq

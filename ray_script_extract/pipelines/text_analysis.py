@@ -770,14 +770,13 @@ def _topk_frame(df: "pd.DataFrame", k: int) -> "pd.DataFrame":
     return df[df["rk"] <= k].reset_index(drop=True)
 
 
-def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K,
-                    force_join: bool = False):
+def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K):
     """Top-k TF-IDF terms per document (integer-quantized idf — see
     module comment).  Output: (doc_id, term, tf, df, score, rk).
 
     Hybrid like dedup_components: vocab-bounded broadcast df (the
     common case — vocab ≪ corpus) vs a two-exchange partitioned join
-    for unbounded vocab (`force_join` pins the scale path in tests).
+    for unbounded vocab.
     Exact DuckDB oracle: TFIDF_SQL."""
     import pandas as pd
 
@@ -806,7 +805,7 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K,
         ["term"], {"c": "sum"}).materialize()
     vocab_rows = df_tbl.count()
 
-    if vocab_rows <= _VOCAB_BROADCAST_ROWS and not force_join:
+    if vocab_rows <= _VOCAB_BROADCAST_ROWS:
         # bounded by the budget check — not an unbounded driver read
         # empty partitions come back as schema-less blocks (documented
         # Ray 2.49 footgun) — drop them before concat
@@ -1419,8 +1418,7 @@ def _bigram_rows(batch: pa.Table):
     return doc_ids, docix[:-1][adj], ubg, pinv
 
 
-def doc_bigram_coverage(sf_dir: str, min_count: int = _BG_MIN_COUNT,
-                        force_join: bool = False):
+def doc_bigram_coverage(sf_dir: str, min_count: int = _BG_MIN_COUNT):
     """Per-doc bigram coverage counts (doc_id, n_bigrams, n_covered).
 
     Same hybrid as tfidf: global bigram counts reduce from per-batch
@@ -1429,8 +1427,7 @@ def doc_bigram_coverage(sf_dir: str, min_count: int = _BG_MIN_COUNT,
     (bigram, count) arrays via ray.put, searchsorted + bincount per
     batch); otherwise occurrences join counts on one bigram exchange
     and per-doc sums ride a doc_id exchange, with zero-stub rows
-    keeping bigram-less docs in the result (`force_join` pins the
-    scale path in tests)."""
+    keeping bigram-less docs in the result."""
     import pandas as pd
 
     from .joins import groupby_agg_partitioned, hash_partitioned_map
@@ -1451,7 +1448,7 @@ def doc_bigram_coverage(sf_dir: str, min_count: int = _BG_MIN_COUNT,
                          zero_copy_batch=True),
         ["bg"], {"c": "sum"}).materialize()
 
-    if cnt_tbl.count() <= _BG_BROADCAST_ROWS and not force_join:
+    if cnt_tbl.count() <= _BG_BROADCAST_ROWS:
         tabs = [t for t in ray.get(cnt_tbl.to_arrow_refs()) if t.num_rows]
         if tabs:
             vdf = pa.concat_tables(tabs).to_pandas() \
@@ -1576,8 +1573,8 @@ ORDER BY d.doc_id
 # counts (tokens never contain spaces, so "w" and "w1 w2" keys share
 # a namespace); the pair side then needs c(w1)/c(w2) — broadcast the
 # vocab (sorted arrays via ray.put) when it fits the same row budget
-# as the tfidf vocab, else two more keyed exchanges join counts in
-# (``force_join`` pins the scale path in tests).  Per-block top-k
+# as the tfidf vocab, else two more keyed exchanges join counts in.
+# Per-block top-k
 # pruning bounds the final sort input by k·blocks.
 
 _PMI_MIN_COUNT = 5
@@ -1628,7 +1625,7 @@ def _pmi_partial(batch: pa.Table) -> pa.Table:
 
 
 def word_pmi_pairs(sf_dir: str, min_count: int = _PMI_MIN_COUNT,
-                   k: int = _PMI_K, force_join: bool = False):
+                   k: int = _PMI_K):
     """Top-k adjacent word pairs by integer-scaled PMI
     (w1, w2, pair_count, score), score DESC / w1 / w2 ties."""
     import pandas as pd
@@ -1669,7 +1666,7 @@ def word_pmi_pairs(sf_dir: str, min_count: int = _PMI_MIN_COUNT,
         return t.sort_by([("score", "descending"), ("w1", "ascending"),
                           ("w2", "ascending")]).slice(0, k)
 
-    if uni.count() <= _PMI_BROADCAST_ROWS and not force_join:
+    if uni.count() <= _PMI_BROADCAST_ROWS:
         tabs = [t for t in ray.get(uni.to_arrow_refs()) if t.num_rows]
         if tabs:
             vdf = pa.concat_tables(tabs).to_pandas() \
@@ -2121,7 +2118,7 @@ def _dsir_ppm_arrays(cnt_tbl, T: int, R: int, V: int):
     return vdf["w"].to_numpy(dtype=object), ppm
 
 
-def dsir_importance_weights(sf_dir: str, force_join: bool = False):
+def dsir_importance_weights(sf_dir: str):
     """Per-raw-doc DSIR score: ``(doc_id, n_tokens, dsir_weight_ppm)``
     where the weight is the sum over the doc's token OCCURRENCES of
     the smoothed target/raw unigram likelihood ratio (ppm).  Higher =
@@ -2132,8 +2129,8 @@ def dsir_importance_weights(sf_dir: str, force_join: bool = False):
     pass is shuffle-free (sorted word/ppm arrays via ``ray.put``,
     searchsorted probe per batch); above it — web-scale vocabulary —
     occurrences join the weight table on a word exchange and per-doc
-    sums ride a doc_id exchange (``force_join`` pins the twin
-    bit-identical).  Zero-token raw docs emit no row, matching the SQL
+    sums ride a doc_id exchange (twin pinned bit-identical in tests).
+    Zero-token raw docs emit no row, matching the SQL
     join semantics."""
     import pandas as pd
 
@@ -2148,7 +2145,7 @@ def dsir_importance_weights(sf_dir: str, force_join: bool = False):
                       "n_tokens": pa.array([], pa.int64()),
                       "dsir_weight_ppm": pa.array([], pa.int64())})
 
-    if 0 < V <= _VOCAB_BROADCAST_ROWS and not force_join:
+    if 0 < V <= _VOCAB_BROADCAST_ROWS:
         handle = ray.put(_dsir_ppm_arrays(cnt_tbl, T, R, V))
 
         def score(batch: pa.Table) -> pa.Table:
@@ -2398,8 +2395,7 @@ FROM g GROUP BY n ORDER BY n
 """
 
 
-def dsir_select_top(sf_dir: str, n_select: int = 100,
-                    force_join: bool = False):
+def dsir_select_top(sf_dir: str, n_select: int = 100):
     """The DSIR SELECTION step: the ``n_select`` raw documents closest
     to the target distribution — ``(rank, doc_id, n_tokens,
     dsir_weight_ppm)`` ordered by (weight DESC, doc_id).
@@ -2413,7 +2409,7 @@ def dsir_select_top(sf_dir: str, n_select: int = 100,
     exact LIMIT oracle)."""
     import pandas as pd
 
-    weights = dsir_importance_weights(sf_dir, force_join=force_join)
+    weights = dsir_importance_weights(sf_dir)
 
     def prune(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().sort_values(

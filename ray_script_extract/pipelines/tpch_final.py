@@ -23,8 +23,8 @@ commitdate/receiptdate — see TESTDATA.md):
 Scale shapes (the 100 TB discipline of queries.py / tpch_more.py):
 * part is NOT a bounded dimension — the part side rides the budgeted
   broadcast (footer-row check) and falls back to the union-tag
-  single-exchange semi-join past the budget; ``force_shuffle`` pins
-  the fallback twin in tests/test_tpch_final.py;
+  single-exchange semi-join past the budget (both plans pinned equal
+  in tests/test_tpch_final.py);
 * supplier lookups use the same hybrid (``broadcast_int_lookup`` /
   ``broadcast_lookup_table`` with a partitioned-join fallback);
 * fact tables pre-collapse per block before every exchange — Q21's
@@ -52,11 +52,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from . import joins
 from .joins import (broadcast_int_lookup, broadcast_lookup_table,
                     groupby_agg_partitioned, hash_join_via_groupby,
                     hash_partitioned_map, lookup_sorted,
-                    lookup_sorted_cols, sorted_small,
-                    _BROADCAST_LOOKUP_ROWS)
+                    lookup_sorted_cols, sorted_small)
 from .tpch_more import _batch_partial, _cents_np, _read, _ts
 
 
@@ -75,7 +75,7 @@ def _broadcast_part(sf_dir: str, pred, val_cols=()):
     import pyarrow.parquet as pq
 
     path = f"{sf_dir}/part.parquet"
-    if pq.ParquetFile(path).metadata.num_rows > _BROADCAST_LOOKUP_ROWS:
+    if pq.ParquetFile(path).metadata.num_rows > joins._BROADCAST_LOOKUP_ROWS:
         return None
     t = pq.read_table(path, columns=["p_partkey", "p_name", "p_size",
                                      "p_type", "p_retailprice"])
@@ -108,8 +108,7 @@ def _member_mask(keys_sorted: np.ndarray, probe: np.ndarray) -> np.ndarray:
 _Q2_SIZE, _Q2_TYPE, _Q2_REGION = 15, "PROMO", "EUROPE"
 
 
-def q2_min_cost_supplier(sf_dir: str, top_k: int = 100,
-                         force_shuffle: bool = False):
+def q2_min_cost_supplier(sf_dir: str, top_k: int = 100):
     """TPC-H Q2 shape.  No partsupp table exists, so a supplier's
     "supply cost" for a part is the minimum unit price it was ever
     observed charging in lineitem (floor(extprice/qty*100+0.5) cents);
@@ -123,13 +122,11 @@ def q2_min_cost_supplier(sf_dir: str, top_k: int = 100,
     fraction is tiny — |part|/(50·|types|)) and collapses to
     per-(part, supp) MIN-unit partials with the region filter applied
     through the supplier broadcast; the partkey exchange then carries
-    almost nothing.  Past the part budget / under ``force_shuffle``
-    the filtered part keys ride the SAME partkey exchange as tag rows
+    almost nothing.  Past the part budget the filtered part keys ride the SAME partkey exchange as tag rows
     (supp = -1 sentinel), so the semi-join plus the correlated min
     still resolve in ONE all-to-all.  Supplier details (name, acctbal,
     nation) attach to the bounded winner set via the budgeted
-    broadcast; ``force_shuffle`` pins the partitioned-join twins for
-    every dimension path."""
+    broadcast, or a partitioned join past the budget."""
     import pyarrow.parquet as pq
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
@@ -141,9 +138,9 @@ def q2_min_cost_supplier(sf_dir: str, top_k: int = 100,
     nation_names = {r["n_nationkey"]: r["n_name"]
                     for r in nation.to_pylist()}
 
-    supp_nat = None if force_shuffle else broadcast_int_lookup(
+    supp_nat = broadcast_int_lookup(
         f"{sf_dir}/supplier.parquet", "s_suppkey", "s_nationkey")
-    part_bc = None if force_shuffle else _broadcast_part(
+    part_bc = _broadcast_part(
         sf_dir, (pc.field("p_size") == _Q2_SIZE)
         & (pc.field("p_type") == _Q2_TYPE))
 
@@ -243,7 +240,7 @@ def q2_min_cost_supplier(sf_dir: str, top_k: int = 100,
 
     name_arr = np.array([nation_names.get(k, "")
                          for k in range(max(nation_names) + 1)])
-    supp_det = None if force_shuffle else broadcast_lookup_table(
+    supp_det = broadcast_lookup_table(
         f"{sf_dir}/supplier.parquet", "s_suppkey",
         ["s_name", "s_acctbal", "s_nationkey"])
 
@@ -330,7 +327,7 @@ LIMIT 100
 _Q9_SUBSTR = "red"
 
 
-def q9_profit_by_nation(sf_dir: str, force_shuffle: bool = False):
+def q9_profit_by_nation(sf_dir: str):
     """TPC-H Q9 shape: profit from parts whose name contains 'red',
     grouped by (supplier nation, order year).  No ps_supplycost
     exists, so cost = 60 % of p_retailprice per unit, kept integer as
@@ -339,15 +336,15 @@ def q9_profit_by_nation(sf_dir: str, force_shuffle: bool = False):
     Plan (primary): the matching (partkey → retail_cents) projection
     is a budgeted broadcast, so lineitem prefilters map-side and
     collapses to (orderkey, s_nat) profit partials — ONE fact-fact
-    exchange (⨝ orders for the year) total.  ``force_shuffle`` twin:
+    exchange (⨝ orders for the year) total.  Past the budget:
     part rides a union-tag partkey exchange and supplier a
     partitioned join, the plan Q9 needs when part outgrows the
     broadcast budget at 100 TB."""
     part_pred = pc.match_substring(pc.field("p_name"), _Q9_SUBSTR)
-    part_bc = None if force_shuffle else _broadcast_part(
+    part_bc = _broadcast_part(
         sf_dir, part_pred, ["retail_cents"])
 
-    supp_nat = None if force_shuffle else broadcast_int_lookup(
+    supp_nat = broadcast_int_lookup(
         f"{sf_dir}/supplier.parquet", "s_suppkey", "s_nationkey")
 
     li = _read(sf_dir, "lineitem",
@@ -535,7 +532,7 @@ _Q11_NATION = "NATION_3"
 _Q11_FRAC_DEN = 1000  # HAVING sum > global_total / 1000, integer-exact
 
 
-def q11_important_parts(sf_dir: str, force_shuffle: bool = False):
+def q11_important_parts(sf_dir: str):
     """TPC-H Q11 shape: per-part lineitem value over one nation's
     suppliers, keeping parts whose total exceeds 1/1000 of the global
     (same-filter) total.  ps_supplycost×ps_availqty is replaced by
@@ -543,7 +540,7 @@ def q11_important_parts(sf_dir: str, force_shuffle: bool = False):
     fraction-of-global scalar subquery) is what matters.
 
     Plan: the nation filter applies map-side through the supplier
-    broadcast (partitioned-join twin via ``force_shuffle``); partials
+    broadcast (a partitioned join past the budget); partials
     collapse per block, ONE partkey exchange produces the per-part
     totals, which are materialized ONCE (bounded by |part|, far below
     the lineitem input) and reused for both the global scalar and the
@@ -553,7 +550,7 @@ def q11_important_parts(sf_dir: str, force_shuffle: bool = False):
     nat_t = pq.read_table(f"{sf_dir}/nation.parquet").to_pylist()
     nat_key = {r["n_name"]: r["n_nationkey"] for r in nat_t}[_Q11_NATION]
 
-    supp_nat = None if force_shuffle else broadcast_int_lookup(
+    supp_nat = broadcast_int_lookup(
         f"{sf_dir}/supplier.parquet", "s_suppkey", "s_nationkey")
 
     li = _read(sf_dir, "lineitem",
@@ -641,8 +638,7 @@ _Q20_LO, _Q20_HI = "1997-01-01", "1998-01-01"
 _Q20_MIN_QTY = 400
 
 
-def q20_promotion_suppliers(sf_dir: str, force_shuffle: bool = False,
-                            min_qty: int = _Q20_MIN_QTY):
+def q20_promotion_suppliers(sf_dir: str, min_qty: int = _Q20_MIN_QTY):
     """TPC-H Q20 shape: suppliers who shipped more than a quota
     (Σqty > 400) of name-prefixed parts within one year.  The spec's
     ps_availqty half-quota becomes a fixed quantity quota over
@@ -653,10 +649,10 @@ def q20_promotion_suppliers(sf_dir: str, force_shuffle: bool = False,
     lineitem's shipdate window is pushed into the read, the part
     filter applies map-side, and partials collapse to per-supplier
     quantity sums — the ONE exchange is on the bounded supplier
-    domain.  ``force_shuffle`` twin: part rides the union-tag partkey
+    domain.  Past the part budget, part rides the union-tag partkey
     exchange instead."""
     part_pred = pc.starts_with(pc.field("p_name"), _Q20_PREFIX)
-    part_bc = None if force_shuffle else _broadcast_part(sf_dir, part_pred)
+    part_bc = _broadcast_part(sf_dir, part_pred)
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -727,7 +723,7 @@ def q20_promotion_suppliers(sf_dir: str, force_shuffle: bool = False,
                                       pa.scalar(min_qty, pa.int64()))),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    supp_det = None if force_shuffle else broadcast_lookup_table(
+    supp_det = broadcast_lookup_table(
         f"{sf_dir}/supplier.parquet", "s_suppkey", ["s_name"])
 
     if supp_det is not None:
@@ -781,8 +777,7 @@ ORDER BY s_name
 _Q21_LATE_DAYS = 60
 
 
-def q21_waiting_suppliers(sf_dir: str, top_k: int = 100,
-                          force_shuffle: bool = False):
+def q21_waiting_suppliers(sf_dir: str, top_k: int = 100):
     """TPC-H Q21 shape: for finished orders (o_orderstatus='F') with
     lines from ≥2 distinct suppliers where EXACTLY ONE supplier was
     late, count the orders each such supplier delayed.  The tables
@@ -796,8 +791,7 @@ def q21_waiting_suppliers(sf_dir: str, top_k: int = 100,
     rides the same exchange as tag rows (supp = -1), and each
     partition resolves EXISTS/NOT EXISTS with two vectorized pandas
     groupbys.  The per-supplier counts then take one bounded exchange;
-    ``force_shuffle`` pins the partitioned-join twin for the
-    supplier-name attach."""
+    the supplier-name attach is the budgeted broadcast hybrid."""
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate"],
@@ -869,7 +863,7 @@ def q21_waiting_suppliers(sf_dir: str, top_k: int = 100,
         hash_partitioned_map(both, ["key"], resolve),
         ["s_suppkey"], {"numwait": "sum"})
 
-    supp_det = None if force_shuffle else broadcast_lookup_table(
+    supp_det = broadcast_lookup_table(
         f"{sf_dir}/supplier.parquet", "s_suppkey", ["s_name"])
 
     if supp_det is not None:

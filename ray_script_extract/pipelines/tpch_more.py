@@ -23,8 +23,8 @@ Scale shapes (the 100 TB discipline of queries.py applies):
   (``_batch_partial``), so shuffles carry partials, not rows;
 * part is NOT a bounded dimension (it scales with SF) — q14/q19 use
   the budgeted-broadcast hybrid (``broadcast_lookup_table`` footer
-  check, partitioned shuffle join past the budget, ``force_shuffle``
-  twins pinned in tests/test_tpch_more.py);
+  check, partitioned shuffle join past the budget, both plans pinned
+  equal in tests/test_tpch_more.py);
 * semi/anti joins ride ONE ``hash_partitioned_map`` exchange with the
   probe side reduced to per-batch distinct keys (the lapsed_customers
   pattern);
@@ -304,15 +304,14 @@ ORDER BY custdist DESC, c_count DESC
 _Q14_LO, _Q14_HI = "1997-09-01", "1997-10-01"
 
 
-def q14_promo_revenue(sf_dir: str, force_shuffle: bool = False):
+def q14_promo_revenue(sf_dir: str):
     """TPC-H Q14 shape: share of windowed revenue from PROMO parts.
     The ratio itself is float-unstable, so the result is the exact
     integer (promo_cents, total_cents) pair — consumers divide once.
 
     Hybrid: part scales with SF, so its (partkey -> type) map rides
     the budgeted broadcast (footer check) and falls back to the
-    partitioned shuffle join past the budget / under ``force_shuffle``
-    (twin pinned in tests).  Either way lineitem pre-collapses per
+    partitioned shuffle join past the budget (twin pinned in tests).  Either way lineitem pre-collapses per
     block and only constant-size partials reach the driver fold."""
     from .joins import (broadcast_lookup_table, hash_join_via_groupby,
                         lookup_sorted_cols)
@@ -323,7 +322,7 @@ def q14_promo_revenue(sf_dir: str, force_shuffle: bool = False):
         filter=(pc.field("l_shipdate") >= _ts(_Q14_LO))
         & (pc.field("l_shipdate") < _ts(_Q14_HI)))
 
-    handle = None if force_shuffle else broadcast_lookup_table(
+    handle = broadcast_lookup_table(
         f"{sf_dir}/part.parquet", "p_partkey", ["p_type"])
 
     def _fold(partials: "ray.data.Dataset") -> pd.DataFrame:
@@ -430,14 +429,14 @@ def q16_supplier_variety(sf_dir: str):
 
     import ray
 
-    from .joins import (_BROADCAST_LOOKUP_ROWS, hash_join_via_groupby,
-                        hash_partitioned_map)
+    from . import joins
+    from .joins import hash_join_via_groupby, hash_partitioned_map
 
     excl_tbl = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey"],
         filters=[("s_acctbal", "<", 0.0)])
     excl = np.sort(np.asarray(excl_tbl["s_suppkey"], dtype=np.int64))
-    if len(excl) > _BROADCAST_LOOKUP_ROWS:
+    if len(excl) > joins._BROADCAST_LOOKUP_ROWS:
         raise ValueError("excluded-supplier set exceeds broadcast budget")
     excl_ref = ray.put(excl)
 
@@ -520,7 +519,7 @@ _Q19_BRANCHES = (
 )
 
 
-def q19_disjunctive_revenue(sf_dir: str, force_shuffle: bool = False):
+def q19_disjunctive_revenue(sf_dir: str):
     """TPC-H Q19 shape: revenue from lines matching ANY of three
     (brand, size-range, quantity-range) conjunctions.  Quantities
     compare in qty-cents integers so both engines evaluate identical
@@ -529,7 +528,7 @@ def q19_disjunctive_revenue(sf_dir: str, force_shuffle: bool = False):
     Hybrid like q14: part's (brand, size) ride the budgeted broadcast
     — the whole disjunction then evaluates map-side and NOTHING
     shuffles (a scalar partial per block reaches the driver).  Past
-    the budget / under ``force_shuffle``, lineitem pre-collapses per
+    the budget, lineitem pre-collapses per
     (partkey, qty_cents) — quantity is part of the predicate, so it
     stays in the partial key — and one partitioned join evaluates the
     branches inside each merge task."""
@@ -539,7 +538,7 @@ def q19_disjunctive_revenue(sf_dir: str, force_shuffle: bool = False):
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
-    handle = None if force_shuffle else broadcast_lookup_table(
+    handle = broadcast_lookup_table(
         f"{sf_dir}/part.parquet", "p_partkey", ["p_brand", "p_size"])
 
     def _mask(brand_np: np.ndarray, size: np.ndarray,
@@ -862,8 +861,7 @@ ORDER BY s_suppkey
 _Q10_LO, _Q10_HI = "1997-07-01", "1997-10-01"
 
 
-def q10_returned_revenue(sf_dir: str, k: int = 20,
-                         force_shuffle: bool = False):
+def q10_returned_revenue(sf_dir: str, k: int = 20):
     """TPC-H Q10 shape: customers who returned items in a quarter,
     ranked by lost revenue — the lineitem→orders→customer chain with
     the nation dimension and a global top-k finish.
@@ -873,8 +871,8 @@ def q10_returned_revenue(sf_dir: str, k: int = 20,
     partials; ONE orderkey shuffle join rewrites them to (custkey,
     cents) partials; one bounded custkey exchange finishes the
     per-customer totals.  Customer name/nation ride the budgeted
-    broadcast (partitioned shuffle join past the budget /
-    ``force_shuffle``, twin pinned); nation (spec-bounded at 25) is a
+    broadcast (partitioned shuffle join past the budget, twin
+    pinned); nation (spec-bounded at 25) is a
     closure constant.  Every block top-k-prunes before the ≤ k·blocks
     global sort."""
     import pyarrow.parquet as pq
@@ -932,7 +930,7 @@ def q10_returned_revenue(sf_dir: str, k: int = 20,
         pos = np.searchsorted(nat_keys, ck)
         return nat_names.take(pa.array(np.minimum(pos, len(nat_keys) - 1)))
 
-    cust_handle = None if force_shuffle else broadcast_lookup_table(
+    cust_handle = broadcast_lookup_table(
         f"{sf_dir}/customer.parquet", "c_custkey",
         ["c_name", "c_nationkey"])
 
@@ -1019,7 +1017,7 @@ _Q8_REGION = "AMERICA"
 _Q8_NATION = "NATION_3"
 
 
-def q8_market_share(sf_dir: str, force_shuffle: bool = False):
+def q8_market_share(sf_dir: str):
     """TPC-H Q8 shape (market share): for PROMO-part lineitems whose
     order came from a customer in region AMERICA, per order year, the
     exact integer (target_cents, total_cents) pair where target is
@@ -1034,7 +1032,7 @@ def q8_market_share(sf_dir: str, force_shuffle: bool = False):
       rewrites lineitem partials to (custkey, year) — plus a
       ≤ |years| groupby.  Nation→region is a closure constant
       (spec-bounded at 25).
-    * PAST-BUDGET / ``force_shuffle`` plan: the full four-join chain
+    * PAST-BUDGET plan: the full four-join chain
       (part → supplier → orders → customer), every exchange carrying
       PARTIALS — the deepest shuffle chain in the repo, each join's
       merge task collapsing before the next key.  The twin is pinned
@@ -1060,19 +1058,14 @@ def q8_market_share(sf_dir: str, force_shuffle: bool = False):
     amer_nations = np.sort(nk[np.asarray(nat["n_regionkey"],
                                          dtype=np.int64) == region_key])
 
-    handles = None
-    if not force_shuffle:
-        ph = broadcast_lookup_table(f"{sf_dir}/part.parquet",
-                                    "p_partkey", ["p_type"])
-        sh = broadcast_int_lookup(f"{sf_dir}/supplier.parquet",
-                                  "s_suppkey", "s_nationkey")
-        ch = broadcast_int_lookup(f"{sf_dir}/customer.parquet",
-                                  "c_custkey", "c_nationkey")
-        if ph is not None and sh is not None and ch is not None:
-            handles = (ph, sh, ch)
+    ph = broadcast_lookup_table(f"{sf_dir}/part.parquet",
+                                "p_partkey", ["p_type"])
+    sh = broadcast_int_lookup(f"{sf_dir}/supplier.parquet",
+                              "s_suppkey", "s_nationkey")
+    ch = broadcast_int_lookup(f"{sf_dir}/customer.parquet",
+                              "c_custkey", "c_nationkey")
 
-    if handles is not None:
-        ph, sh, ch = handles
+    if ph is not None and sh is not None and ch is not None:
         li = _read(sf_dir, "lineitem",
                    ["l_partkey", "l_suppkey", "l_orderkey",
                     "l_extendedprice", "l_discount"])

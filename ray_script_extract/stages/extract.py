@@ -1,10 +1,11 @@
 """The extraction stage: interleaved input spans → typed output spans.
 
-This is the engine's flagship ``map_batches`` stage.  It is a callable
-CLASS (actor-pool stage): warm state — compiled predicate/classifier
-tables, the HTML tree builder, and (later) the PDF tokenizer + font
-caches — is built once per actor in ``__init__``; ``__call__`` handles
-one zero-copy Arrow batch of documents.
+This is the engine's flagship ``map_batches`` stage.  ``ExtractorActor``
+holds the warm state — compiled predicate/classifier tables, the HTML
+tree builder, the PDF front-end — built once in ``__init__``;
+``__call__`` handles one zero-copy Arrow batch of documents.  The
+pipeline runs it through ``extract_batch``, a module-level singleton
+in a plain task pool.
 
 Dispatch per input span kind (FIXTURES.md §1):
 
@@ -32,11 +33,10 @@ from ..sources.shakespeare import parse_shakespeare_text
 
 
 class ExtractorActor:
-    """Stateful batch extractor. Use with:
-
-    ``ds.map_batches(ExtractorActor, batch_format="pyarrow",
-                     concurrency=N, batch_size=B, zero_copy_batch=True)``
-    """
+    """Stateful batch extractor.  ``extract_batch`` keeps one per worker
+    process (``ds.map_batches(extract_batch, batch_format="pyarrow",
+    batch_size=B, zero_copy_batch=True)``); ``extract_doc`` is the
+    per-document entry the resumable lineage job calls directly."""
 
     def __init__(self) -> None:
         # Warm state: importing the modules compiled every predicate

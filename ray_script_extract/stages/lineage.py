@@ -149,8 +149,7 @@ def run_resumable_extract_dir(input_dir: str, output_dir: str) -> Dict:
 
 
 def run_resumable_extract(num_docs: int, output_dir: str, *, seed: int = 42,
-                          docs_per_shard: int = 100,
-                          concurrency: Optional[int] = None) -> Dict:
+                          docs_per_shard: int = 100) -> Dict:
     """Resumable flagship run over the synthetic corpus.
 
     Shard descriptors → (skip completed) → per-shard task: generate →

@@ -1,6 +1,6 @@
 """Boundary tests for `doc_bigram_coverage`: empty/1-token docs keep
 zero rows, a doc can self-cover by repeating its own bigram, coverage
-crosses documents, and the force_join scale path returns exactly the
+crosses documents, and the past-budget scale path returns exactly the
 broadcast path's result."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_bigram_coverage_boundaries(tmp_path):
+def test_bigram_coverage_boundaries(tmp_path, scale_plans):
     import duckdb
 
     from ray_script_extract.pipelines.text_analysis import (
@@ -56,6 +56,7 @@ def test_bigram_coverage_boundaries(tmp_path):
 
     # scale path (bigram exchange + doc_id exchange + zero stubs)
     # must be bit-identical
-    forced = doc_bigram_coverage(str(tmp_path), force_join=True) \
-        .to_pandas().reset_index(drop=True)
+    with scale_plans():
+        forced = doc_bigram_coverage(str(tmp_path)) \
+            .to_pandas().reset_index(drop=True)
     pd.testing.assert_frame_equal(forced.astype(cast), got.astype(cast))

@@ -72,7 +72,7 @@ def test_distributed_lloyd_matches_numpy_twin():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_combine_paths_bit_identical():
+def test_combine_paths_bit_identical(scale_plans):
     """The budgeted driver combine and the shuffle reduce sum partials
     in the same (cluster, batch_ord) order, so centroids/inertia must
     match BIT-exactly, not just approximately."""
@@ -80,8 +80,8 @@ def test_combine_paths_bit_identical():
 
     _, traj_a, cents_a = cluster_embeddings(
         SF, n_clusters=6, n_iter=2, return_stats=True)
-    _, traj_b, cents_b = cluster_embeddings(
-        SF, n_clusters=6, n_iter=2, return_stats=True,
-        force_shuffle_combine=True)
+    with scale_plans():
+        _, traj_b, cents_b = cluster_embeddings(
+            SF, n_clusters=6, n_iter=2, return_stats=True)
     assert traj_a == traj_b
     assert np.array_equal(cents_a, cents_b)

@@ -19,7 +19,7 @@ def _pairs_source(pairs):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_components_chain_and_clusters():
+def test_components_chain_and_clusters(scale_plans):
     """A 5-chain needs multiple propagation rounds; a disjoint pair
     and a triangle must stay separate clusters."""
     from ray_script_extract.pipelines.dedup import dedup_components
@@ -28,9 +28,9 @@ def test_components_chain_and_clusters():
              (10, 11),                           # pair, component 10
              (20, 21), (21, 22), (20, 22)]       # triangle, component 20
     for distributed in (False, True):
-        got = dedup_components(
-            "", pair_source=_pairs_source(pairs),
-            force_distributed=distributed).to_pandas()
+        with scale_plans(distributed):
+            got = dedup_components(
+                "", pair_source=_pairs_source(pairs)).to_pandas()
         comp = dict(zip(got["doc_id"], got["component"]))
         size = dict(zip(got["doc_id"], got["csize"]))
         assert comp == {0: 0, 1: 0, 2: 0, 3: 0, 4: 0,
@@ -51,7 +51,7 @@ def test_components_empty_pairset():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_components_vs_recursive_cte_oracle():
+def test_components_vs_recursive_cte_oracle(scale_plans):
     """End-to-end on sf0.01: Ray minhash pairs → components vs the
     recursive-CTE DuckDB oracle over the same (oracle-pinned) pairs."""
     import duckdb
@@ -71,13 +71,14 @@ def test_components_vs_recursive_cte_oracle():
         oracle[["doc_id", "component", "csize"]].values.tolist()
     # the distributed label-propagation path must agree with the
     # driver fast path on the same real pair graph
-    dist = dedup_components(sf_dir, force_distributed=True).to_pandas()
+    with scale_plans():
+        dist = dedup_components(sf_dir).to_pandas()
     assert dist[["doc_id", "component", "csize"]].values.tolist() == \
         got[["doc_id", "component", "csize"]].values.tolist()
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_components_distributed_50k_chains():
+def test_components_distributed_50k_chains(scale_plans):
     """Distributed label propagation at 50k nodes (10k chains of 5 —
     4 propagation hops each) must match the vectorized driver path
     and finish in seconds, not minutes (keyed-backbone guard)."""
@@ -90,8 +91,8 @@ def test_components_distributed_50k_chains():
     src = _pairs_source(pairs)
 
     fast = dedup_components("", pair_source=src).to_pandas()
-    dist = dedup_components("", pair_source=src,
-                            force_distributed=True).to_pandas()
+    with scale_plans():
+        dist = dedup_components("", pair_source=src).to_pandas()
     assert (fast["component"].to_numpy()
             == fast["doc_id"].to_numpy() // 5 * 5).all()
     assert (fast["csize"] == 5).all()

@@ -69,7 +69,7 @@ def test_decontaminate_matches_oracle(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_partitioned_plan_matches_broadcast(tmp_path):
+def test_partitioned_plan_matches_broadcast(tmp_path, scale_plans):
     """The over-budget fallback (hash-partitioned semi-join) must be
     plan-equivalent to the broadcast path — same rows, same dtypes —
     on a corpus with known contamination AND on the sf0.001 table."""
@@ -79,8 +79,9 @@ def test_partitioned_plan_matches_broadcast(tmp_path):
 
     for sf_dir in (_write_corpus(tmp_path), "/root/testdata/sf0.001"):
         fast = decontaminate_ngrams(sf_dir).to_pandas()
-        slow = decontaminate_ngrams(sf_dir, force_partitioned=True)
-        slow = slow.to_pandas() if not isinstance(slow, pd.DataFrame) else slow
+        with scale_plans():
+            slow = decontaminate_ngrams(sf_dir)
+            slow = slow.to_pandas() if not isinstance(slow, pd.DataFrame) else slow
         pd.testing.assert_frame_equal(fast.reset_index(drop=True),
                                       slow.reset_index(drop=True))
 

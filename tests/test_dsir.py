@@ -1,6 +1,6 @@
 """DSIR importance weights (Xie et al. NeurIPS'23): hand-computed
 smoothed likelihood ratios on a crafted corpus, zero-token-doc and
-target-doc exclusion, force_join scale-path twin bit-identical, and
+target-doc exclusion, past-budget scale-path twin bit-identical, and
 DuckDB oracle equality."""
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _df(r):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dsir_hand_computed(tmp_path):
+def test_dsir_hand_computed(tmp_path, scale_plans):
     import duckdb
 
     from ray_script_extract.pipelines.text_analysis import (
@@ -53,9 +53,10 @@ def test_dsir_hand_computed(tmp_path):
         1333333,                                     # doc 2
     ]
 
-    # the force_join (web-scale vocabulary) twin is bit-identical
-    joined = _df(dsir_importance_weights(str(tmp_path), force_join=True)) \
-        .reset_index(drop=True)
+    # the web-scale-vocabulary (join) twin is bit-identical
+    with scale_plans():
+        joined = _df(dsir_importance_weights(str(tmp_path))) \
+            .reset_index(drop=True)
     pd.testing.assert_frame_equal(got, joined)
 
     con = duckdb.connect()

@@ -102,5 +102,5 @@ def test_contamination_by_source_refuses_over_budget(tmp_path,
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
 
     monkeypatch.setattr(decontam, "_BENCH_HASH_CAP", 0)
-    with pytest.raises(ValueError, match="force_partitioned"):
+    with pytest.raises(ValueError, match="takes its partitioned semi-join"):
         decontam.contamination_by_source(str(tmp_path))

@@ -1,34 +1,16 @@
-"""The exchange primitive's two engines must agree bit-for-bit.
-
-``exchange_map_partitions`` (pipelines/joins.py) is the backbone under
-every keyed op: "task" (default) is the raw-task two-stage hash
-shuffle that avoids Ray Data's groupby sort barrier; "sort" is the
-legacy ``groupby(part).map_groups`` path kept as the A/B twin.  These
-tests run representative shapes under BOTH engines and require
-identical results — the guarantee that the fast path is a pure engine
-swap, not a semantics change.
+"""Edge cases of the raw-task exchange (``exchange_map_partitions`` in
+pipelines/joins.py), the backbone under every keyed op: hot-key salting
+widens the partition-id space, untagged empty blocks and empty
+partitions must schedule nothing, and an all-empty exchange keeps its
+declared schema through ``sorted_small``.  The join, left-join null
+surface and keyed-window shapes it carries are held to their DuckDB
+oracles in tests/test_random_sf_differential.py.
 """
-
-import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-
-SF = "/root/testdata/sf0.001"
-
-
-def _run_both(fn):
-    """Call fn() under each exchange engine; return (task, sort)."""
-    results = {}
-    for engine in ("task", "sort"):
-        os.environ["RAY_GRAFT_EXCHANGE"] = engine
-        try:
-            results[engine] = fn()
-        finally:
-            os.environ.pop("RAY_GRAFT_EXCHANGE", None)
-    return results["task"], results["sort"]
 
 
 def _norm(df: pd.DataFrame) -> pd.DataFrame:
@@ -36,50 +18,12 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def _assert_same(a, b):
-    a = a.to_pandas() if hasattr(a, "to_pandas") else a
-    b = b.to_pandas() if hasattr(b, "to_pandas") else b
-    pd.testing.assert_frame_equal(_norm(a), _norm(b))
-
-
 @pytest.mark.usefixtures("ray_session")
-def test_engines_agree_join_and_groupby():
-    """q3 (shuffle join + pre_left/post fusion) and a high-cardinality
-    partitioned groupby agree across engines."""
-    from ray_script_extract.pipelines.queries import QUERIES
-
-    task, sort = _run_both(lambda: QUERIES["q3_top_orders"](SF).to_pandas())
-    _assert_same(task, sort)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_engines_agree_left_join_nulls():
-    """LEFT join with a real null surface (unmatched customers) —
-    pads, Int64 nullable promotion, and empty partitions all ride the
-    exchange."""
-    from ray_script_extract.pipelines.queries import QUERIES
-
-    task, sort = _run_both(
-        lambda: QUERIES["customer_urgent_counts"](SF).to_pandas())
-    _assert_same(task, sort)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_engines_agree_keyed_window():
-    """hash_partitioned_map shape (sessionize: per-key stateful pandas
-    reduce) agrees across engines."""
-    from ray_script_extract.pipelines.queries import QUERIES
-
-    task, sort = _run_both(
-        lambda: QUERIES["events_sessionize"](SF).to_pandas())
-    _assert_same(task, sort)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_engines_agree_salted_join():
+def test_salted_join_equals_unsalted():
     """Hot-key salting extends the partition-id space past
-    num_partitions — the task engine must size its reduce width to
-    include every salted partition."""
+    num_partitions — the exchange must size its reduce width to
+    include every salted partition, and the salted join must return
+    exactly the unsalted join's rows."""
     import ray.data
 
     from ray_script_extract.pipelines.joins import hash_join_via_groupby
@@ -87,7 +31,7 @@ def test_engines_agree_salted_join():
     n = 20_000
     keys = np.where(np.arange(n) % 3 == 0, 7, np.arange(n) % 500)
 
-    def build():
+    def build(hot_keys):
         left = ray.data.from_arrow(pa.table({
             "k": pa.array(keys, pa.int64()),
             "v": pa.array(np.arange(n), pa.int64()),
@@ -100,12 +44,12 @@ def test_engines_agree_salted_join():
             left, right, "k", "rk",
             left_schema=pa.schema([("k", pa.int64()), ("v", pa.int64())]),
             right_schema=pa.schema([("rk", pa.int64()), ("w", pa.int64())]),
-            hot_keys=np.array([7], np.int64), num_salts=4)
+            hot_keys=hot_keys, num_salts=4)
         return out.to_pandas()
 
-    task, sort = _run_both(build)
-    assert len(task) == n
-    _assert_same(task, sort)
+    salted = build(np.array([7], np.int64))
+    assert len(salted) == n
+    pd.testing.assert_frame_equal(_norm(salted), _norm(build(None)))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -136,8 +80,7 @@ def test_task_engine_skips_empty_partitions_and_blocks():
         right_schema=pa.schema([("rk", pa.int64()), ("w", pa.int64())]))
     out = groupby_agg_partitioned(j, ["k"], {"v": "sum"}).to_pandas()
     assert out[["k", "v"]].to_dict("records") == [{"k": 2, "v": 20}]
-import pyarrow as pa
-import pytest
+
 
 @pytest.mark.usefixtures("ray_session")
 def test_sorted_small_empty_keeps_declared_schema():

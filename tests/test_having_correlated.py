@@ -73,7 +73,7 @@ def test_correlated_avg_boundaries(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_having_threshold_and_tiebreak(tmp_path):
+def test_having_threshold_and_tiebreak(tmp_path, scale_plans):
     import duckdb
 
     from ray_script_extract.pipelines.queries import (
@@ -126,6 +126,7 @@ def test_having_threshold_and_tiebreak(tmp_path):
 
     # the partitioned-shuffle customer join (the past-broadcast-budget
     # plan) must return exactly the broadcast plan's result
-    shuf = large_orders_customers(str(tmp_path), force_shuffle=True) \
-        .to_pandas().reset_index(drop=True)
+    with scale_plans():
+        shuf = large_orders_customers(str(tmp_path)) \
+            .to_pandas().reset_index(drop=True)
     pd.testing.assert_frame_equal(shuf.astype(cast), got.astype(cast))

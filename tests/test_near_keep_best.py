@@ -38,7 +38,7 @@ def _write_corpus(tmp_path) -> str:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_near_keep_best_matches_oracle(tmp_path):
+def test_near_keep_best_matches_oracle(tmp_path, scale_plans):
     import duckdb
 
     from ray_script_extract.pipelines.dedup import (
@@ -78,7 +78,8 @@ def test_near_keep_best_matches_oracle(tmp_path):
 
     # the over-budget partitioned-join twin is bit-identical to the
     # broadcast plan (same decision table, different physical plan)
-    twin = dedup_near_keep_best(sf_dir, force_join=True).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    with scale_plans():
+        twin = dedup_near_keep_best(sf_dir).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     assert got[list(twin.columns)].values.tolist() \
         == twin.values.tolist()

@@ -1,7 +1,8 @@
 """`pca_project` / `pca_fit` (distributed PCA over the embedding
 table): exact-plane recovery on crafted data, covariance + projection
-vs a single-process numpy twin on the sf corpus, and the
-force_shuffle_combine fold path pinned bit-identical to the default."""
+vs a single-process numpy twin on the sf corpus, and the keyed-exchange
+fold (taken past the driver-combine budget) pinned bit-identical to the
+driver fold."""
 
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def test_recovers_planted_plane(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_matches_twin_on_sf_corpus_and_shuffle_path_pinned():
+def test_matches_twin_on_sf_corpus_and_shuffle_path_pinned(scale_plans):
     from ray_script_extract.pipelines.pca import pca_fit, pca_project
 
     t = pq.read_table(f"{SF}/embeddings.parquet")
@@ -95,6 +96,6 @@ def test_matches_twin_on_sf_corpus_and_shuffle_path_pinned():
 
     # the 100-TB fold path (keyed exchange) is the SAME fold tree →
     # bit-identical, not merely close
-    got2 = pca_project(SF, n_components=4,
-                       force_shuffle_combine=True).to_pandas()
+    with scale_plans():
+        got2 = pca_project(SF, n_components=4).to_pandas()
     pd.testing.assert_frame_equal(got, got2)

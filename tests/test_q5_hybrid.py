@@ -12,18 +12,19 @@ SF = "/root/testdata/sf0.001"
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q5_broadcast_equals_shuffle():
+def test_q5_broadcast_equals_shuffle(scale_plans):
     from ray_script_extract.pipelines.queries import q5_region_revenue
 
     fast = q5_region_revenue(SF)
-    slow = q5_region_revenue(SF, force_shuffle=True)
     fast = fast if isinstance(fast, pd.DataFrame) else fast.to_pandas()
-    slow = slow if isinstance(slow, pd.DataFrame) else slow.to_pandas()
+    with scale_plans():
+        slow = q5_region_revenue(SF)
+        slow = slow if isinstance(slow, pd.DataFrame) else slow.to_pandas()
     pd.testing.assert_frame_equal(fast.reset_index(drop=True),
                                   slow.reset_index(drop=True))
 
 
-def test_broadcast_budget_metadata_only(tmp_path):
+def test_broadcast_budget_metadata_only(tmp_path, monkeypatch):
     """broadcast_int_lookup must refuse oversized dimensions based on
     the parquet FOOTER (no data read) and return a usable handle for
     small ones."""
@@ -33,6 +34,7 @@ def test_broadcast_budget_metadata_only(tmp_path):
 
     import ray
 
+    from ray_script_extract.pipelines import joins
     from ray_script_extract.pipelines.joins import (
         broadcast_int_lookup,
         lookup_sorted,
@@ -46,8 +48,11 @@ def test_broadcast_budget_metadata_only(tmp_path):
         "k": pa.array([5, 1, 3], pa.int64()),
         "v": pa.array([50, 10, 30], pa.int64()),
     }), p)
-    assert broadcast_int_lookup(p, "k", "v", budget_rows=2) is None
-    h = broadcast_int_lookup(p, "k", "v", budget_rows=10)
+    monkeypatch.setattr(joins, "_BROADCAST_LOOKUP_ROWS", 2)
+    assert broadcast_int_lookup(p, "k", "v") is None
+    # the budget is read at call time, and a dimension exactly at it fits
+    monkeypatch.setattr(joins, "_BROADCAST_LOOKUP_ROWS", 3)
+    h = broadcast_int_lookup(p, "k", "v")
     assert h is not None
     out = lookup_sorted(h, np.array([1, 3, 5, 1], np.int64))
     assert out.tolist() == [10, 30, 50, 10]

@@ -28,13 +28,13 @@ def _df(res):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q7_broadcast_equals_shuffle_and_oracle():
+def test_q7_broadcast_equals_shuffle_and_oracle(scale_plans):
     from ray_script_extract.pipelines.queries import (Q7_SQL,
                                                       q7_nation_volume)
 
     fast = _df(q7_nation_volume(SF)).reset_index(drop=True)
-    slow = _df(q7_nation_volume(SF, force_shuffle=True)) \
-        .reset_index(drop=True)
+    with scale_plans():
+        slow = _df(q7_nation_volume(SF)).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
     con = _duck()
     oracle = con.sql(Q7_SQL).df()
@@ -79,7 +79,7 @@ def test_length_band_quantile_rank_edges(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_spend_rank_ties_and_twin(tmp_path):
+def test_spend_rank_ties_and_twin(tmp_path, scale_plans):
     """DENSE_RANK semantics under crafted ties (shared rank, no gap)
     plus the broadcast/shuffle twin pin."""
     import numpy as np
@@ -105,14 +105,15 @@ def test_spend_rank_ties_and_twin(tmp_path):
     assert out["rnk"].tolist() == [1, 1, 2, 1]
     assert out["spend_cents"].tolist() == [2000, 2000, 1000, 700]
 
-    twin = _df(customer_spend_rank(str(tmp_path), force_shuffle=True)) \
-        .reset_index(drop=True)
+    with scale_plans():
+        twin = _df(customer_spend_rank(str(tmp_path))) \
+            .reset_index(drop=True)
     pd.testing.assert_frame_equal(out, twin)
 
     # sf table vs oracle (both paths)
-    for force in (False, True):
-        got = _df(customer_spend_rank(SF, force_shuffle=force)) \
-            .reset_index(drop=True)
+    for scale in (False, True):
+        with scale_plans(scale):
+            got = _df(customer_spend_rank(SF)).reset_index(drop=True)
         from ray_script_extract.pipelines.queries import \
             CUSTOMER_SPEND_RANK_SQL
         con = _duck()

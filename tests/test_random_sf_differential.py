@@ -63,6 +63,10 @@ def _run(fn, sf, **kw) -> pd.DataFrame:
     "q2_min_cost_supplier", "q9_profit_by_nation", "q11_important_parts",
     "q21_waiting_suppliers", "q4_order_priority", "q12_priority_by_status",
     "q13_order_distribution", "q15_top_supplier", "q22_idle_rich_customers",
+    # the raw-task exchange's join shapes: q3 (shuffle join with the
+    # pre_left/post fusion) and a LEFT join with a real null surface
+    # (unmatched customers: pads, nullable Int64, empty partitions)
+    "q3_top_orders", "customer_urgent_counts",
     # events family (events subsampled — thin sessions, sparse asof
     # probes, missing pivot types)
     "events_sessionize", "events_rolling_sum3", "events_asof_last_signup",

@@ -1,0 +1,37 @@
+"""The ``queries()`` registry contract: every callable takes ``sf_dir``
+alone, and oracle-backed entries come before rows-only ones, so a
+consumer that checks only a leading window of the registry spends none
+of it on queries without an oracle."""
+
+from __future__ import annotations
+
+import pytest
+
+from tests.test_similarity import SF
+
+
+def test_oracle_backed_entries_precede_rows_only():
+    from ray_script_extract.pipelines.queries import ORACLE_SQL, QUERIES
+
+    backed = [name in ORACLE_SQL for name in QUERIES]
+    assert any(backed) and not all(backed)
+    first_rows_only = backed.index(False)
+    assert not any(backed[first_rows_only:]), [
+        name for name in list(QUERIES)[first_rows_only:]
+        if name in ORACLE_SQL]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_every_query_runs_with_sf_dir_alone():
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    import __ray_entry__
+
+    for name, fn in __ray_entry__.queries().items():
+        res = fn(SF)
+        assert isinstance(res, (ray.data.Dataset, pd.DataFrame, pa.Table)), \
+            (name, type(res))
+        if isinstance(res, ray.data.Dataset):
+            res.materialize()

@@ -62,6 +62,27 @@ def test_embedding_lsh_recall_vs_exact(sf_dir):
     assert recall >= 0.99, f"LSH near-dup recall too low: {recall}"
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_embedding_lsh_join_verify_equals_broadcast_verify(scale_plans):
+    """Past ``_BROADCAST_VERIFY_BYTES`` the candidate pairs join the
+    packed embedding column back through two partitioned joins instead
+    of probing a broadcast matrix; both verifies must keep exactly the
+    same pairs."""
+    import os
+
+    import pandas as pd
+
+    from ray_script_extract.pipelines.similarity import near_dup_embeddings_lsh
+
+    sf_dir = os.path.join(os.path.dirname(SF), "sf0.01")
+    fast = near_dup_embeddings_lsh(sf_dir).to_pandas()
+    with scale_plans():
+        joined = near_dup_embeddings_lsh(sf_dir).to_pandas()
+    assert len(fast) > 0
+    pd.testing.assert_frame_equal(fast.reset_index(drop=True),
+                                  joined.reset_index(drop=True))
+
+
 def test_embedding_lsh_buckets_never_hit_cap():
     """No band bucket may approach _BUCKET_CAP at sf0.1 — a capped
     bucket is SKIPPED by pair generation, silently losing recall.

@@ -36,8 +36,8 @@ def _write_corpus(tmp_path) -> str:
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("force_join", [False, True])
-def test_tfidf_matches_oracle(tmp_path, force_join):
+@pytest.mark.parametrize("scale", [False, True])
+def test_tfidf_matches_oracle(tmp_path, scale, scale_plans):
     import duckdb
 
     from ray_script_extract.pipelines.text_analysis import (
@@ -46,7 +46,8 @@ def test_tfidf_matches_oracle(tmp_path, force_join):
     )
 
     sf_dir = _write_corpus(tmp_path)
-    got = tfidf_top_terms(sf_dir, force_join=force_join).to_pandas()
+    with scale_plans(scale):
+        got = tfidf_top_terms(sf_dir).to_pandas()
 
     con = duckdb.connect()
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "

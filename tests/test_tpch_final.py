@@ -1,6 +1,7 @@
 """Twin tests for the last five TPC-H shapes (tpch_final.py): each
-query's budgeted-broadcast primary plan and its ``force_shuffle``
-partitioned-exchange fallback must be bit-identical — the sf gates
+query's budgeted-broadcast primary plan and its past-budget
+partitioned-exchange fallback (reached through the ``scale_plans``
+fixture) must be bit-identical — the sf gates
 only ever exercise whichever path the budget selects, so this pins
 BOTH (the fallback is the plan that runs when part/supplier outgrow
 the broadcast budget at 100 TB)."""
@@ -26,7 +27,7 @@ def _df(res) -> pd.DataFrame:
     "q20_promotion_suppliers",
     "q21_waiting_suppliers",
 ])
-def test_broadcast_equals_shuffle(name):
+def test_broadcast_equals_shuffle(name, scale_plans):
     from ray_script_extract.pipelines import tpch_final
 
     fn = getattr(tpch_final, name)
@@ -34,7 +35,8 @@ def test_broadcast_equals_shuffle(name):
     # comparison covers non-trivial rows on both paths
     kw = {"min_qty": 5} if name == "q20_promotion_suppliers" else {}
     fast = _df(fn(SF, **kw))
-    slow = _df(fn(SF, force_shuffle=True, **kw))
+    with scale_plans():
+        slow = _df(fn(SF, **kw))
     assert len(fast) > 0
     pd.testing.assert_frame_equal(fast, slow)
 

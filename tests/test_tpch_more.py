@@ -56,28 +56,29 @@ def test_tpch_more_match_oracle(name):
 @pytest.mark.parametrize("name", ["q14_promo_revenue",
                                   "q19_disjunctive_revenue",
                                   "q10_returned_revenue"])
-def test_part_hybrid_twins(name):
+def test_part_hybrid_twins(name, scale_plans):
     """The budgeted broadcast and the partitioned shuffle join must
     produce the identical table — at 100 TB part outgrows the budget
     and the fallback is what actually runs."""
     from ray_script_extract.pipelines.queries import QUERIES
 
     fast = _df(QUERIES[name](SF)).reset_index(drop=True)
-    slow = _df(QUERIES[name](SF, force_shuffle=True)).reset_index(drop=True)
+    with scale_plans():
+        slow = _df(QUERIES[name](SF)).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow, check_dtype=True,
                                   check_exact=True)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q8_broadcast_equals_shuffle_chain():
+def test_q8_broadcast_equals_shuffle_chain(scale_plans):
     """q8's single-exchange broadcast plan must equal the four-join
     shuffle chain — the plan that actually runs at 100 TB, where all
     three dimensions outgrow the broadcast budget."""
     from ray_script_extract.pipelines.tpch_more import q8_market_share
 
     fast = _df(q8_market_share(SF)).reset_index(drop=True)
-    slow = _df(q8_market_share(SF, force_shuffle=True)) \
-        .reset_index(drop=True)
+    with scale_plans():
+        slow = _df(q8_market_share(SF)).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow, check_dtype=True,
                                   check_exact=True)
 
@@ -108,7 +109,7 @@ def test_q13_zero_bucket(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q19_quantity_boundaries(tmp_path):
+def test_q19_quantity_boundaries(tmp_path, scale_plans):
     """Branch quantity bounds are inclusive on both ends and evaluate
     in qty-cents integers: qty exactly at a bound matches, one cent
     outside does not."""
@@ -128,8 +129,8 @@ def test_q19_quantity_boundaries(tmp_path):
         "l_discount": pa.array([0.0, 0.5, 0.0, 0.0, 0.0]),
     }), tmp_path / "lineitem.parquet")
 
-    for force in (False, True):
-        got = _df(q19_disjunctive_revenue(str(tmp_path),
-                                          force_shuffle=force))
+    for scale in (False, True):
+        with scale_plans(scale):
+            got = _df(q19_disjunctive_revenue(str(tmp_path)))
         assert got["n_lines"].tolist() == [2]
         assert got["revenue_cents"].tolist() == [1000 + 500]

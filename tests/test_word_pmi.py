@@ -1,6 +1,6 @@
 """`word_pmi_pairs` boundary + path-equivalence tests: hand-computed
 integer PMI scores on a crafted corpus, pairs never span documents,
-min_count filtering, deterministic tie order, and the force_join
+min_count filtering, deterministic tie order, and the past-budget
 scale path (two keyed exchanges) bit-identical to the broadcast
 path and the DuckDB oracle."""
 
@@ -23,7 +23,7 @@ def _write_docs(tmp_path, texts):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_word_pmi_hand_computed(tmp_path):
+def test_word_pmi_hand_computed(tmp_path, scale_plans):
     import duckdb
 
     from ray_script_extract.pipelines.text_analysis import (
@@ -69,8 +69,9 @@ def test_word_pmi_hand_computed(tmp_path):
     pd.testing.assert_frame_equal(full.astype(cast), want.astype(cast))
 
     # scale path: two keyed exchanges, bit-identical
-    forced = word_pmi_pairs(str(tmp_path), force_join=True) \
-        .to_pandas().reset_index(drop=True)
+    with scale_plans():
+        forced = word_pmi_pairs(str(tmp_path)) \
+            .to_pandas().reset_index(drop=True)
     pd.testing.assert_frame_equal(forced.astype(cast), full.astype(cast))
 
 
