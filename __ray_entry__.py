@@ -5,7 +5,8 @@ The driver initialises Ray BEFORE importing this module; nothing here
 
 * ``entry()``     — flagship extraction pipeline on sf0.001.
 * ``queries()``   — one callable per implemented operator (SURVEY.md §2
-  + the training-data-pipeline operator families).
+  + the training-data-pipeline operator families), exactly the
+  ``_REGISTRY`` table of ``pipelines/queries.py``.
 * ``oracle_sql()``— DuckDB-equivalent SQL for every SQL-expressible
   query (same column names, exact integer-cents numerics).
 """
@@ -28,12 +29,9 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from ray_script_extract.pipelines.flagship import extract_corpus_kinds
     from ray_script_extract.pipelines.queries import QUERIES
 
-    out: dict[str, Callable[[str], Any]] = dict(QUERIES)
-    out["extract_corpus_kinds"] = extract_corpus_kinds
-    return out
+    return dict(QUERIES)
 
 
 def oracle_sql() -> dict[str, str]:

@@ -31,14 +31,6 @@ def json_type_name(t: str) -> str:
     return _JSON_TYPE.get(t, t)
 
 
-def is_slugline_type(t: str) -> bool:
-    return t in ("Slugline", "Shot", "Act")
-
-
-def is_action_type(t: str) -> bool:
-    return t in ("Action", "Text", "Transition")
-
-
 class ScriptObject:
     """One typed span of the extracted document, in reading order."""
 

@@ -189,18 +189,6 @@ def contains_date(s: str) -> bool:
     return any(r.search(s) for r in _DATE_RES)
 
 
-def looks_like_fountain(lines: Sequence[str]) -> bool:
-    """Fountain-format sniff: mostly-unindented text
-    (re-derived from Parser.php:9-19: indented lines < 10% of all
-    lines)."""
-    indented = 0
-    for line in lines:
-        trimmed = line.lstrip()
-        if trimmed != "" and trimmed != line:
-            indented += 1
-    return indented < len(lines) / 10
-
-
 # ---------------------------------------------------------------------------
 # Bounded per-process memo on the pure str->bool predicates: the block
 # engine re-evaluates the same line across classification passes (and
@@ -208,7 +196,7 @@ def looks_like_fountain(lines: Sequence[str]) -> bool:
 # all predicate calls are repeats on the pdf-heavy mix.  lru_cache is
 # BOUNDED so long-lived Ray workers never grow a vocabulary-sized
 # cache (same discipline as bpe._ENCODE_MEMO).  Sequence-arg
-# predicates (changebar/contact_info/fountain) stay unwrapped.
+# predicates (changebar/contact_info) stay unwrapped.
 # ---------------------------------------------------------------------------
 from functools import lru_cache  # noqa: E402
 

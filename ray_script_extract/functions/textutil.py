@@ -2,7 +2,6 @@
 
 Semantics re-derived from the reference's utility layer
 (`/root/reference/src/parser/UniversalUtilities.php:17-42,140-143`,
-`/root/reference/src/parser/analyzer/Utilities.php:5-50`,
 `/root/reference/src/parser/analyzer/Objects.php:3-25`); the exact
 behaviors (case-fold comparison, blank-class collapse) are the spec.
 """
@@ -58,56 +57,7 @@ def is_suffix(s: str, suffix: str, case_sensitive: bool = True) -> bool:
     return a == suffix if case_sensitive else a.lower() == suffix.lower()
 
 
-def remove_prefix(s: str, prefix: str) -> str:
-    return s[len(prefix):]
-
-
-def remove_suffix(s: str, suffix: str) -> str:
-    return s[: -len(suffix)] if suffix else s
-
-
 def is_uppercase(s: str) -> bool:
     """True iff uppercasing the string leaves it unchanged (so digits,
     punctuation and empty strings count as uppercase)."""
     return s.upper() == s
-
-
-def first_word(s: str) -> str:
-    i = s.find(" ")
-    return s[:i] if i != -1 else s
-
-
-def last_word(s: str) -> str:
-    i = s.rfind(" ")
-    return s[i + 1:] if i != -1 else s
-
-
-def remove_first_word(s: str) -> str:
-    i = s.find(" ")
-    return s[i:] if i != -1 else ""
-
-
-def remove_last_word(s: str) -> str:
-    i = s.rfind(" ")
-    return s[:i] if i != -1 else ""
-
-
-_SENTENCE_ENDS = (".", "!", "?")
-
-
-def sentence_count(s: str) -> int:
-    """1 + number of sentence-end chars followed by a double space."""
-    return 1 + sum(s.count(e + "  ") for e in _SENTENCE_ENDS)
-
-
-def custom_strip(s: str) -> str:
-    """Unicode-aware trim including NUL (ParseText.php:15-22 semantics)."""
-    return s.strip(" \t\n\r\x0b\x00\xa0")
-
-
-def custom_lstrip(s: str) -> str:
-    return s.lstrip(" \t\n\r\x0b\x00\xa0")
-
-
-def custom_rstrip(s: str) -> str:
-    return s.rstrip(" \t\n\r\x0b\x00\xa0")

@@ -260,11 +260,6 @@ def _minhash_signatures_batch(texts: "list[str]") -> np.ndarray:
     return sig
 
 
-def _minhash_signature(text: str) -> np.ndarray:
-    """Single-doc form (kept for tests/tools)."""
-    return _minhash_signatures_batch([text])[0]
-
-
 def _mix_band_keys(chunks: np.ndarray, band_ids: np.ndarray) -> np.ndarray:
     """(n, rows_per_band) int chunk values + band index → one int64
     key per row: a 64-bit polynomial mix of the chunk (collision odds
@@ -478,11 +473,6 @@ def _simhash64_batch(texts: "list[str]") -> np.ndarray:
                                << pow2).sum(axis=1)
         d0 = d1
     return fp
-
-
-def _simhash64(text: str) -> int:
-    """Single-doc form (kept for tests/tools)."""
-    return int(_simhash64_batch([text])[0])
 
 
 def band_rows_64(ids: np.ndarray, fp: np.ndarray) -> pa.Table:
@@ -861,29 +851,20 @@ def _components_numpy(u: np.ndarray, v: np.ndarray
 # re-extracting spans per analytic (flagship.share_flagship_spans —
 # VERDICT r3 #3).  First derivation in a session materializes and
 # registers the pair table; later policy calls over the same sf_dir
-# reuse it.  An explicit ``pair_source`` (tests, alternate pair
-# engines) always bypasses the cache.
+# reuse it.
 _SHARED_PAIRS: Dict[str, "ray.data.Dataset"] = {}
 
 
-def share_minhash_pairs(sf_dir: str, ds: "ray.data.Dataset") -> None:
-    """Register a (materialized) near-dup pair table for reuse by the
-    policy family over the same ``sf_dir`` in this session."""
-    _SHARED_PAIRS[sf_dir] = ds
-
-
-def get_minhash_pairs(sf_dir: str, pair_source=None) -> "ray.data.Dataset":
-    """Resolve the pair-table input for a dedup policy query:
-    explicit ``pair_source`` > session share > fresh
-    ``dedup_minhash_lsh`` (memoized for the rest of the session)."""
-    if pair_source is not None:
-        return pair_source(sf_dir)
+def get_minhash_pairs(sf_dir: str) -> "ray.data.Dataset":
+    """Resolve the pair-table input for a dedup policy query: the
+    session share, else a fresh ``dedup_minhash_lsh`` (memoized for the
+    rest of the session)."""
     if sf_dir not in _SHARED_PAIRS:
         _SHARED_PAIRS[sf_dir] = dedup_minhash_lsh(sf_dir).materialize()
     return _SHARED_PAIRS[sf_dir]
 
 
-def dedup_components(sf_dir: str, pair_source=None, max_iters: int = 30):
+def dedup_components(sf_dir: str, max_iters: int = 30):
     """Connected components over the minhash near-dup pair graph —
     the step between "find dup pairs" and "pick one canonical doc per
     CLUSTER" (pairwise keep-min under-deletes: a~b, b~c keeps both a
@@ -914,7 +895,7 @@ def dedup_components(sf_dir: str, pair_source=None, max_iters: int = 30):
         hash_partitioned_map,
     )
 
-    pairs = get_minhash_pairs(sf_dir, pair_source)
+    pairs = get_minhash_pairs(sf_dir)
 
     def both_directions(t: pa.Table) -> pa.Table:
         a = t.column("id_a").to_numpy(zero_copy_only=False)
@@ -1024,7 +1005,7 @@ FROM labels ORDER BY doc_id
 _KEEP_BEST_BROADCAST_ROWS = 5_000_000
 
 
-def dedup_near_keep_best(sf_dir: str, pair_source=None):
+def dedup_near_keep_best(sf_dir: str):
     """Full near-dedup policy: minhash pairs → transitive clusters
     (``dedup_components``) → keep ONE doc per cluster (longest by
     n_chars, tie → min doc_id); docs in no near-dup pair are their
@@ -1045,7 +1026,7 @@ def dedup_near_keep_best(sf_dir: str, pair_source=None):
     * above the budget → partitioned left join
       docs⨝clusters + keyed winner-selection reduce, never
       materializing the cluster table anywhere."""
-    comp = dedup_components(sf_dir, pair_source=pair_source)
+    comp = dedup_components(sf_dir)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "n_chars"])
 

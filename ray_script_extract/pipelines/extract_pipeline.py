@@ -13,57 +13,22 @@ backpressure.  The heavy-doc skew is absorbed by small batch sizes
 
 from __future__ import annotations
 
-from typing import Optional
-
 import ray.data
 
 
-HEAVY_BUCKET_THRESHOLD = 17  # 2^17 = 128 KiB of span text
-
-
 def build_extract_pipeline(ds: "ray.data.Dataset", *,
-                           batch_size: int = 32,
-                           skew_defuse: bool = False) -> "ray.data.Dataset":
+                           batch_size: int = 32) -> "ray.data.Dataset":
     """Plain task pool with module-level warm state — pre-started Ray
     workers are reused, so the compiled predicate tables are built once
-    per worker process (a cold 32-actor pool costs ~60 s of spawn on
-    this box before the first batch).
-
-    skew_defuse=True splits the stream on the size bucket: heavy docs
-    (≥ 2^17 bytes of span text — multi-hundred-page outliers) go
-    through the extract stage at batch_size=1 so one outlier never
-    rides in a batch with many friends (and never pins a whole block's
-    worth of light docs behind it); the light branch keeps the large
-    batch size. The two branches re-union afterwards — order across
-    branches is not span order (per-doc spans stay ordered)."""
-    import pyarrow.compute as pc
-
+    per worker process (a cold 32-actor pool measured ~60 s of spawn
+    before the first batch)."""
     from ..stages.extract import extract_batch
     from ..stages.sizebucket import add_size_stats
 
-    ds = ds.map_batches(add_size_stats, batch_format="pyarrow",
-                        zero_copy_batch=True)
-
-    def run_extract(d: "ray.data.Dataset", bs) -> "ray.data.Dataset":
-        return d.map_batches(extract_batch, batch_format="pyarrow",
-                             batch_size=bs, zero_copy_batch=True)
-
-    if skew_defuse:
-        def _split(keep_heavy: bool):
-            def fn(batch):
-                mask = pc.greater_equal(batch.column("size_bucket"),
-                                        HEAVY_BUCKET_THRESHOLD)
-                if not keep_heavy:
-                    mask = pc.invert(mask)
-                return batch.filter(mask)
-            return fn
-
-        heavy = ds.map_batches(_split(True), batch_format="pyarrow",
-                               zero_copy_batch=True)
-        light = ds.map_batches(_split(False), batch_format="pyarrow",
-                               zero_copy_batch=True)
-        return run_extract(heavy, 1).union(run_extract(light, batch_size))
-    return run_extract(ds, batch_size)
+    return ds.map_batches(add_size_stats, batch_format="pyarrow",
+                          zero_copy_batch=True) \
+        .map_batches(extract_batch, batch_format="pyarrow",
+                     batch_size=batch_size, zero_copy_batch=True)
 
 
 def read_corpus(path: str) -> "ray.data.Dataset":
@@ -149,13 +114,3 @@ def read_corpus_jsonl(path: str,
     return ray.data.read_json(path, **kw).map_batches(
         to_schema, batch_format="pyarrow", zero_copy_batch=True)
 
-
-def extract_corpus(num_docs: int, seed: int = 42, *,
-                   batch_size: int = 32,
-                   skewed: bool = True,
-                   docs_per_block: int = 32) -> "ray.data.Dataset":
-    from ..corpus import corpus_dataset
-
-    ds = corpus_dataset(num_docs, seed=seed, skewed=skewed,
-                        docs_per_block=docs_per_block)
-    return build_extract_pipeline(ds, batch_size=batch_size)

@@ -1,12 +1,14 @@
 """Query/operator battery over the testdata tables, Ray-Data-first.
 
-Each entry here has a Ray implementation (``QUERIES[name]``: callable
+Each entry has a Ray implementation (``QUERIES[name]``: callable
 ``sf_dir -> Dataset | DataFrame | Table``) and, where SQL-expressible,
 a DuckDB oracle (``ORACLE_SQL[name]``) producing identical columns /
-values.  Numeric discipline: money/value aggregates go through
-``cents`` (floor(x*100+0.5) as int64) so sums are exact integers and
-independent of accumulation order on BOTH engines; scalar divisions
-happen once, post-aggregation.
+values; both come from the one ``_REGISTRY`` table at the end of this
+file, which also covers the operator-family modules.  Numeric
+discipline: money/value aggregates go through ``cents``
+(floor(x*100+0.5) as int64) so sums are exact integers and independent
+of accumulation order on BOTH engines; scalar divisions happen once,
+post-aggregation.
 
 Scale notes (these run on testdata but are written for the 100 TB
 shape):
@@ -32,6 +34,27 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from . import (
+    analytics,
+    ann_index,
+    bpe,
+    clustering,
+    curation,
+    decontam,
+    dedup,
+    flagship,
+    html_extract,
+    mmr,
+    multimodal,
+    packing,
+    pca,
+    pii,
+    similarity,
+    sketches,
+    text_analysis,
+    tpch_final,
+    tpch_more,
+)
 from .joins import sorted_small
 from ray.data.aggregate import Count, Max, Min, Sum
 
@@ -2035,299 +2058,6 @@ ORDER BY id_a, id_b
 
 
 # ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-from .dedup import (  # noqa: E402
-    DEDUP_COMPONENTS_SQL,
-    DEDUP_NEAR_KEEP_BEST_SQL,
-    MINHASH_LSH_SQL,
-    NGRAM_JACCARD_SQL,
-    SIMHASH_SQL,
-    dedup_components,
-    dedup_minhash_lsh,
-    dedup_near_keep_best,
-    dedup_ngram_jaccard,
-    dedup_simhash,
-)
-from .analytics import (  # noqa: E402
-    character_dialog_counts,
-    scene_analysis,
-    scene_stats,
-)
-from .multimodal import media_features, media_thumbnails  # noqa: E402
-from .text_analysis import (  # noqa: E402
-    BIGRAM_COVERAGE_SQL,
-    BM25_SQL,
-    CCNET_BUCKETS_SQL,
-    DOC_QUALITY_SQL,
-    DSIR_SELECT_SQL,
-    DSIR_SQL,
-    GOPHER_QUALITY_SQL,
-    NGRAM_DIVERSITY_SQL,
-    ccnet_quality_buckets,
-    dsir_importance_weights,
-    dsir_select_top,
-    gopher_quality_filter,
-    ngram_diversity,
-    LANGID_SQL,
-    REPETITION_SQL,
-    SCRUB_PASSAGES_SQL,
-    SHARED_PASSAGES_SQL,
-    TFIDF_SQL,
-    WINNOW_SQL,
-    WINNOW_PAIRS_SQL,
-    WORD_PMI_SQL,
-    bm25_search,
-    doc_bigram_coverage,
-    word_pmi_pairs,
-    doc_quality,
-    doc_repetition_signals,
-    doc_winnow_fingerprints,
-    winnow_plagiarism_pairs,
-    langid_ngram,
-    scrub_repeated_passages,
-    shared_passages,
-    tfidf_top_terms,
-)
-
-QUERIES: Dict[str, Callable] = {
-    "scrub_repeated_passages": scrub_repeated_passages,
-    "q1_pricing_summary": q1_pricing_summary,
-    "q1_rollup": q1_rollup,
-    "q3_top_orders": q3_top_orders,
-    "q5_region_revenue": q5_region_revenue,
-    "q6_forecast_revenue": q6_forecast_revenue,
-    "top_brands_by_revenue": top_brands_by_revenue,
-    "small_qty_part_revenue": small_qty_part_revenue,
-    "large_orders_customers": large_orders_customers,
-    "distinct_part_types": distinct_part_types,
-    "top_lineitems_by_price": top_lineitems_by_price,
-    "union_key_accounts": union_key_accounts,
-    "intersect_repeat_buyers": intersect_repeat_buyers,
-    "orders_above_global_avg": orders_above_global_avg,
-    "events_by_type": events_by_type,
-    "daily_event_counts": daily_event_counts,
-    "event_value_trend": event_value_trend,
-    "events_sessionize": events_sessionize,
-    "events_asof_last_signup": events_asof_last_signup,
-    "event_value_percentiles": event_value_percentiles,
-    "top_orders_per_priority": top_orders_per_priority,
-    "events_rolling_sum3": events_rolling_sum3,
-    "events_orders_range_join": events_orders_range_join,
-    "events_funnel": events_funnel,
-    "events_user_pivot": events_user_pivot,
-    "lapsed_customers": lapsed_customers,
-    "events_props_k_stats": events_props_k_stats,
-    "dedup_exact": dedup_exact,
-    "doc_token_stats": doc_token_stats,
-    "chunk_documents": chunk_documents,
-    "word_frequency": word_frequency,
-    "doc_fingerprint": doc_fingerprint,
-    "knn_cosine": knn_cosine,
-    "near_dup_embeddings": near_dup_embeddings,
-    "dedup_ngram_jaccard": dedup_ngram_jaccard,
-    "dedup_minhash_lsh": dedup_minhash_lsh,
-    "dedup_simhash": dedup_simhash,
-    "doc_quality": doc_quality,
-    "gopher_quality_filter": gopher_quality_filter,
-    "ccnet_quality_buckets": ccnet_quality_buckets,
-    "dsir_importance_weights": dsir_importance_weights,
-    "dsir_select_top": dsir_select_top,
-    "ngram_diversity": ngram_diversity,
-    "doc_winnow_fingerprints": doc_winnow_fingerprints,
-    "winnow_plagiarism_pairs": winnow_plagiarism_pairs,
-    "langid_ngram": langid_ngram,
-    "media_features": media_features,
-    "media_thumbnails": media_thumbnails,
-    "character_dialog_counts": character_dialog_counts,
-    "scene_stats": scene_stats,
-    "scene_analysis": scene_analysis,
-}
-
-from .similarity import (  # noqa: E402
-    HARD_NEGATIVES_SQL,
-    KNN_CLASSIFY_SQL,
-    knn_classify,
-    knn_cosine_ivf,
-    knn_cosine_sq8,
-    mine_hard_negatives,
-    near_dup_embeddings_lsh,
-)
-
-QUERIES["knn_cosine_ivf"] = knn_cosine_ivf
-QUERIES["knn_cosine_sq8"] = knn_cosine_sq8
-QUERIES["near_dup_embeddings_lsh"] = near_dup_embeddings_lsh
-QUERIES["mine_hard_negatives"] = mine_hard_negatives
-QUERIES["knn_classify"] = knn_classify
-
-from .curation import (  # noqa: E402
-    CURATE_CORPUS_SQL,
-    CURATION_FUNNEL_SQL,
-    curation_funnel,
-    DEDUP_KEEP_BEST_SQL,
-    PREP_TRAINING_MIX_SQL,
-    SAMPLE_STRATIFIED_SQL,
-    SAMPLE_TOKEN_BUDGET_SQL,
-    SHUFFLE_SHARDS_SQL,
-    SPLIT_SQL,
-    _sample_quality_weighted_sql,
-    curate_corpus,
-    dedup_exact_keep_best,
-    prep_training_mix,
-    sample_quality_weighted,
-    sample_stratified,
-    sample_token_budget,
-    shuffle_shards,
-    split_train_val_test,
-)
-
-from .decontam import (  # noqa: E402
-    CONTAM_BY_SOURCE_SQL,
-    DECONTAM_SQL,
-    EVAL_LEAKAGE_SQL,
-    contamination_by_source,
-    SOURCE_OVERLAP_SQL,
-    decontaminate_ngrams,
-    eval_leakage_report,
-    source_overlap_matrix,
-)
-from .pii import SCRUB_PII_SQL, scrub_pii  # noqa: E402
-from .packing import PACK_WINDOWS_SQL, pack_context_windows  # noqa: E402
-
-QUERIES["doc_repetition_signals"] = doc_repetition_signals
-QUERIES["tfidf_top_terms"] = tfidf_top_terms
-QUERIES["bm25_search"] = bm25_search
-QUERIES["doc_bigram_coverage"] = doc_bigram_coverage
-QUERIES["word_pmi_pairs"] = word_pmi_pairs
-QUERIES["shared_passages"] = shared_passages
-QUERIES["decontaminate_ngrams"] = decontaminate_ngrams
-QUERIES["source_overlap_matrix"] = source_overlap_matrix
-QUERIES["eval_leakage_report"] = eval_leakage_report
-QUERIES["contamination_by_source"] = contamination_by_source
-QUERIES["scrub_pii"] = scrub_pii
-QUERIES["pack_context_windows"] = pack_context_windows
-QUERIES["sample_quality_weighted"] = sample_quality_weighted
-QUERIES["sample_stratified"] = sample_stratified
-QUERIES["sample_token_budget"] = sample_token_budget
-QUERIES["prep_training_mix"] = prep_training_mix
-QUERIES["split_train_val_test"] = split_train_val_test
-QUERIES["shuffle_shards"] = shuffle_shards
-QUERIES["dedup_exact_keep_best"] = dedup_exact_keep_best
-QUERIES["curate_corpus"] = curate_corpus
-QUERIES["curation_funnel"] = curation_funnel
-QUERIES["dedup_components"] = dedup_components
-QUERIES["dedup_near_keep_best"] = dedup_near_keep_best
-
-from .sketches import (  # noqa: E402
-    COUNT_MIN_SQL,
-    WORD_FREQ_SKETCH_SQL,
-    approx_distinct_tokens,
-    count_min_words,
-    event_value_percentiles_sketch_exact,
-    word_frequency_sketch,
-)
-
-QUERIES["word_frequency_sketch"] = word_frequency_sketch
-QUERIES["approx_distinct_tokens"] = approx_distinct_tokens
-# the registry entry runs the sketch in its uncompressed (exact)
-# regime so the exact twin's SQL is a bit-for-bit oracle; the
-# compressed regime stays pytest-bounded (VERDICT r4 #3)
-QUERIES["event_value_percentiles_sketch"] = \
-    event_value_percentiles_sketch_exact
-QUERIES["count_min_words"] = count_min_words
-
-from .clustering import cluster_embeddings, dedup_semantic  # noqa: E402
-from .multimodal import (  # noqa: E402
-    near_dup_audio,
-    near_dup_images,
-    near_dup_videos,
-)
-
-QUERIES["cluster_embeddings"] = cluster_embeddings
-QUERIES["dedup_semantic"] = dedup_semantic
-QUERIES["near_dup_images"] = near_dup_images
-QUERIES["near_dup_audio"] = near_dup_audio
-QUERIES["near_dup_videos"] = near_dup_videos
-
-ORACLE_SQL: Dict[str, str] = {
-    "q1_pricing_summary": Q1_SQL,
-    "q1_rollup": Q1_ROLLUP_SQL,
-    "q3_top_orders": Q3_SQL,
-    "q5_region_revenue": Q5_SQL,
-    "q6_forecast_revenue": Q6_SQL,
-    "top_brands_by_revenue": TOP_BRANDS_SQL,
-    "small_qty_part_revenue": SMALL_QTY_SQL,
-    "large_orders_customers": LARGE_ORDERS_SQL,
-    "distinct_part_types": DISTINCT_PART_TYPES_SQL,
-    "top_lineitems_by_price": TOP_LINEITEMS_SQL,
-    "union_key_accounts": UNION_ACCOUNTS_SQL,
-    "intersect_repeat_buyers": INTERSECT_BUYERS_SQL,
-    "orders_above_global_avg": ABOVE_AVG_SQL,
-    "events_by_type": EVENTS_BY_TYPE_SQL,
-    "daily_event_counts": DAILY_EVENTS_SQL,
-    "event_value_trend": EVENT_VALUE_TREND_SQL,
-    "events_sessionize": SESSIONIZE_SQL,
-    "events_asof_last_signup": EVENTS_ASOF_SQL,
-    "event_value_percentiles": EVENT_PERCENTILES_SQL,
-    "top_orders_per_priority": TOP_ORDERS_PER_PRIORITY_SQL,
-    "events_rolling_sum3": EVENTS_ROLLING_SQL,
-    "events_orders_range_join": EVENTS_RANGE_JOIN_SQL,
-    "events_funnel": EVENTS_FUNNEL_SQL,
-    "events_user_pivot": EVENTS_USER_PIVOT_SQL,
-    "lapsed_customers": LAPSED_CUSTOMERS_SQL,
-    "events_props_k_stats": EVENTS_PROPS_SQL,
-    "dedup_exact": DEDUP_EXACT_SQL,
-    "doc_token_stats": DOC_TOKEN_STATS_SQL,
-    "chunk_documents": CHUNK_DOCUMENTS_SQL,
-    "word_frequency": WORD_FREQUENCY_SQL,
-    "doc_fingerprint": DOC_FINGERPRINT_SQL,
-    "knn_cosine": KNN_COSINE_SQL,
-    "mine_hard_negatives": HARD_NEGATIVES_SQL,
-    "knn_classify": KNN_CLASSIFY_SQL,
-    "near_dup_embeddings": NEAR_DUP_EMB_SQL,
-    "dedup_ngram_jaccard": NGRAM_JACCARD_SQL,
-    "dedup_minhash_lsh": MINHASH_LSH_SQL,
-    "dedup_simhash": SIMHASH_SQL,
-    "doc_quality": DOC_QUALITY_SQL,
-    "doc_winnow_fingerprints": WINNOW_SQL,
-    "winnow_plagiarism_pairs": WINNOW_PAIRS_SQL,
-    "sample_quality_weighted": _sample_quality_weighted_sql(),
-    "sample_stratified": SAMPLE_STRATIFIED_SQL,
-    "sample_token_budget": SAMPLE_TOKEN_BUDGET_SQL,
-    "prep_training_mix": PREP_TRAINING_MIX_SQL,
-    "split_train_val_test": SPLIT_SQL,
-    "shuffle_shards": SHUFFLE_SHARDS_SQL,
-    "dedup_exact_keep_best": DEDUP_KEEP_BEST_SQL,
-    "curate_corpus": CURATE_CORPUS_SQL,
-    "curation_funnel": CURATION_FUNNEL_SQL,
-    "dedup_components": DEDUP_COMPONENTS_SQL,
-    "dedup_near_keep_best": DEDUP_NEAR_KEEP_BEST_SQL,
-    "decontaminate_ngrams": DECONTAM_SQL,
-    "source_overlap_matrix": SOURCE_OVERLAP_SQL,
-    "eval_leakage_report": EVAL_LEAKAGE_SQL,
-    "contamination_by_source": CONTAM_BY_SOURCE_SQL,
-    "scrub_pii": SCRUB_PII_SQL,
-    "pack_context_windows": PACK_WINDOWS_SQL,
-    "langid_ngram": LANGID_SQL,
-    "doc_repetition_signals": REPETITION_SQL,
-    "tfidf_top_terms": TFIDF_SQL,
-    "bm25_search": BM25_SQL,
-    "doc_bigram_coverage": BIGRAM_COVERAGE_SQL,
-    "word_pmi_pairs": WORD_PMI_SQL,
-    "gopher_quality_filter": GOPHER_QUALITY_SQL,
-    "ccnet_quality_buckets": CCNET_BUCKETS_SQL,
-    "dsir_importance_weights": DSIR_SQL,
-    "dsir_select_top": DSIR_SELECT_SQL,
-    "ngram_diversity": NGRAM_DIVERSITY_SQL,
-    "shared_passages": SHARED_PASSAGES_SQL,
-    "scrub_repeated_passages": SCRUB_PASSAGES_SQL,
-    # media_features etc.: non-SQL-expressible (model scoring,
-    # extraction-dependent) → rows-only checks
-}
-
-
-# ---------------------------------------------------------------------------
 # Round-3 additions: nation-pair volume (Q7 shape), EXCEPT set op,
 # lag/inter-event gaps, grouped COUNT DISTINCT, quantile band filter
 # ---------------------------------------------------------------------------
@@ -2712,43 +2442,6 @@ ORDER BY doc_id
 """
 
 
-QUERIES["q7_nation_volume"] = q7_nation_volume
-QUERIES["except_urgent_only_buyers"] = except_urgent_only_buyers
-QUERIES["events_user_gaps"] = events_user_gaps
-QUERIES["users_per_event_type"] = users_per_event_type
-QUERIES["filter_length_band"] = filter_length_band
-
-ORACLE_SQL["q7_nation_volume"] = Q7_SQL
-ORACLE_SQL["except_urgent_only_buyers"] = EXCEPT_BUYERS_SQL
-ORACLE_SQL["events_user_gaps"] = EVENTS_USER_GAPS_SQL
-ORACLE_SQL["users_per_event_type"] = USERS_PER_EVENT_TYPE_SQL
-ORACLE_SQL["filter_length_band"] = FILTER_LENGTH_BAND_SQL
-
-from .html_extract import (HTML_MAIN_CONTENT_SQL,  # noqa: E402
-                           html_main_content)
-
-# generic DOM-density boilerplate strip (WSDM'10) with the
-# planted-article construction: the wrap is deterministic, so the
-# whole DOM operator has an EXACT SQL oracle (round 5)
-QUERIES["html_main_content"] = html_main_content
-ORACLE_SQL["html_main_content"] = HTML_MAIN_CONTENT_SQL
-
-from .decontam import DECONTAM_BLOOM_SQL, decontaminate_bloom  # noqa: E402
-
-# exact oracle (round 5): the bitmap is deterministic md5 +
-# Kirsch-Mitzenmacher uint64 double hashing, which DuckDB replicates
-# bit-for-bit with HUGEINT wraparound math — the oracle flags the
-# SAME docs including false positives; the no-false-negative superset
-# property additionally stays pinned in tests/test_decontam.py
-QUERIES["decontaminate_bloom"] = decontaminate_bloom
-ORACLE_SQL["decontaminate_bloom"] = DECONTAM_BLOOM_SQL
-
-from .decontam import DECONTAM_EMB_SQL, decontaminate_embeddings  # noqa: E402
-
-QUERIES["decontaminate_embeddings"] = decontaminate_embeddings
-ORACLE_SQL["decontaminate_embeddings"] = DECONTAM_EMB_SQL
-
-
 def customer_urgent_counts(sf_dir: str):
     """LEFT OUTER join with a real null surface: EVERY customer with
     the count + cents total of their 1-URGENT orders — zero rows for
@@ -2809,9 +2502,6 @@ SELECT c_custkey,
 FROM customer LEFT JOIN u ON u.o_custkey = c_custkey
 GROUP BY c_custkey ORDER BY c_custkey
 """
-
-QUERIES["customer_urgent_counts"] = customer_urgent_counts
-ORACLE_SQL["customer_urgent_counts"] = CUSTOMER_URGENT_SQL
 
 
 def customer_spend_rank(sf_dir: str):
@@ -2917,9 +2607,6 @@ FROM s JOIN customer ON c_custkey = o_custkey
 ORDER BY c_nat, rnk, c_custkey
 """
 
-QUERIES["customer_spend_rank"] = customer_spend_rank
-ORACLE_SQL["customer_spend_rank"] = CUSTOMER_SPEND_RANK_SQL
-
 
 def q1_cube(sf_dir: str):
     """GROUP BY CUBE (returnflag, linestatus): all four grouping sets
@@ -2955,9 +2642,6 @@ FROM lineitem
 GROUP BY CUBE (l_returnflag, l_linestatus)
 ORDER BY 1, 2
 """
-
-QUERIES["q1_cube"] = q1_cube
-ORACLE_SQL["q1_cube"] = Q1_CUBE_SQL
 
 
 _AUDIT_LANGS = ("de", "en", "es", "fr", "zh")
@@ -3057,47 +2741,6 @@ SELECT * FROM (
 ) ORDER BY check_name
 """
 
-QUERIES["audit_documents"] = audit_documents
-ORACLE_SQL["audit_documents"] = AUDIT_DOCUMENTS_SQL
-
-from .tpch_more import (  # noqa: E402
-    Q4_SQL, Q8_SQL, Q10_SQL, Q12_SQL, Q13_SQL, Q14_SQL, Q15_SQL,
-    Q16_SQL, Q19_SQL, Q22_SQL, q8_market_share, q10_returned_revenue,
-    q4_order_priority, q12_priority_by_status, q13_order_distribution,
-    q14_promo_revenue, q15_top_supplier, q16_supplier_variety,
-    q19_disjunctive_revenue, q22_idle_rich_customers)
-
-QUERIES["q4_order_priority"] = q4_order_priority
-QUERIES["q8_market_share"] = q8_market_share
-QUERIES["q10_returned_revenue"] = q10_returned_revenue
-QUERIES["q12_priority_by_status"] = q12_priority_by_status
-QUERIES["q13_order_distribution"] = q13_order_distribution
-QUERIES["q14_promo_revenue"] = q14_promo_revenue
-QUERIES["q15_top_supplier"] = q15_top_supplier
-QUERIES["q16_supplier_variety"] = q16_supplier_variety
-QUERIES["q19_disjunctive_revenue"] = q19_disjunctive_revenue
-QUERIES["q22_idle_rich_customers"] = q22_idle_rich_customers
-ORACLE_SQL["q4_order_priority"] = Q4_SQL
-ORACLE_SQL["q8_market_share"] = Q8_SQL
-ORACLE_SQL["q10_returned_revenue"] = Q10_SQL
-ORACLE_SQL["q12_priority_by_status"] = Q12_SQL
-ORACLE_SQL["q13_order_distribution"] = Q13_SQL
-ORACLE_SQL["q14_promo_revenue"] = Q14_SQL
-ORACLE_SQL["q15_top_supplier"] = Q15_SQL
-ORACLE_SQL["q16_supplier_variety"] = Q16_SQL
-ORACLE_SQL["q19_disjunctive_revenue"] = Q19_SQL
-ORACLE_SQL["q22_idle_rich_customers"] = Q22_SQL
-ORACLE_SQL["count_min_words"] = COUNT_MIN_SQL
-# sketch entries whose registered regimes are exact (VERDICT r4 #3):
-# MG never decrements at vocab ≪ capacity; MRL never collapses at
-# s = 2^20 ≥ any per-batch type count
-ORACLE_SQL["word_frequency_sketch"] = WORD_FREQ_SKETCH_SQL
-ORACLE_SQL["event_value_percentiles_sketch"] = EVENT_PERCENTILES_SQL
-
-from .curation import EXPORT_SORTED_SQL, export_sorted_manifest  # noqa: E402
-
-QUERIES["export_sorted_manifest"] = export_sorted_manifest
-ORACLE_SQL["export_sorted_manifest"] = EXPORT_SORTED_SQL
 
 # ---------------------------------------------------------------------------
 # Hopping (sliding) windows — the window type tumbling/rolling/session miss
@@ -3154,78 +2797,6 @@ FROM events CROSS JOIN
 GROUP BY 1, 2 ORDER BY 1, 2
 """
 
-QUERIES["hop_event_counts"] = hop_event_counts
-ORACLE_SQL["hop_event_counts"] = HOP_EVENTS_SQL
-
-from .tpch_final import (  # noqa: E402
-    Q2_SQL, Q9_SQL, Q11_SQL, Q20_SQL, Q21_SQL, q2_min_cost_supplier,
-    q9_profit_by_nation, q11_important_parts, q20_promotion_suppliers,
-    q21_waiting_suppliers)
-
-QUERIES["q2_min_cost_supplier"] = q2_min_cost_supplier
-QUERIES["q9_profit_by_nation"] = q9_profit_by_nation
-QUERIES["q11_important_parts"] = q11_important_parts
-QUERIES["q20_promotion_suppliers"] = q20_promotion_suppliers
-QUERIES["q21_waiting_suppliers"] = q21_waiting_suppliers
-from .bpe import bpe_token_counts, bpe_train_merges  # noqa: E402
-
-QUERIES["bpe_train_merges"] = bpe_train_merges
-QUERIES["bpe_token_counts"] = bpe_token_counts
-# rows-only: BPE merge learning / tokenization are not SQL-expressible;
-# semantics pinned against the naive-recount twin in tests/test_bpe.py
-
-from .ann_index import (  # noqa: E402
-    KNN_IVF_INDEXED_SQL,
-    build_ivf_index,
-    ivf_index_incremental,
-    knn_cosine_ivf_indexed_fullprobe,
-)
-
-QUERIES["build_ivf_index"] = build_ivf_index
-QUERIES["ivf_index_incremental"] = ivf_index_incremental
-# the registry entry probes ALL lists: the lists partition the corpus,
-# so the indexed read covers every vector once and equals brute-force
-# knn — an exact SQL oracle for the persistent-index path (VERDICT r4
-# #3).  The pruned regime stays pinned in tests/test_ann_index.py.
-QUERIES["knn_cosine_ivf_indexed"] = knn_cosine_ivf_indexed_fullprobe
-ORACLE_SQL["knn_cosine_ivf_indexed"] = KNN_IVF_INDEXED_SQL
-# build_ivf_index stays rows-only: the k-means assignment is not
-# SQL-expressible; manifest sums + partition pruning pinned in
-# tests/test_ann_index.py
-
-from .curation import (  # noqa: E402
-    SAMPLE_TEMPERATURE_SQL,
-    sample_temperature_mix,
-)
-
-QUERIES["sample_temperature_mix"] = sample_temperature_mix
-ORACLE_SQL["sample_temperature_mix"] = SAMPLE_TEMPERATURE_SQL
-
-from .dedup import DEDUP_INCREMENTAL_SQL, dedup_incremental  # noqa: E402
-
-QUERIES["dedup_incremental"] = dedup_incremental
-ORACLE_SQL["dedup_incremental"] = DEDUP_INCREMENTAL_SQL
-
-from .mmr import rerank_mmr  # noqa: E402
-
-QUERIES["rerank_mmr"] = rerank_mmr
-# rows-only: greedy argmax chains are not SQL-expressible; exact
-# corpus-wide equality when candidates cover the corpus + naive-twin
-# equality pinned in tests/test_mmr.py
-
-from .pca import pca_project  # noqa: E402
-
-QUERIES["pca_project"] = pca_project
-# rows-only: eigendecompositions are not SQL-expressible; covariance
-# and projection pinned against a single-process numpy twin and the
-# shuffle-combine fold path in tests/test_pca.py
-
-ORACLE_SQL["q2_min_cost_supplier"] = Q2_SQL
-ORACLE_SQL["q9_profit_by_nation"] = Q9_SQL
-ORACLE_SQL["q11_important_parts"] = Q11_SQL
-ORACLE_SQL["q20_promotion_suppliers"] = Q20_SQL
-ORACLE_SQL["q21_waiting_suppliers"] = Q21_SQL
-
 
 def _empty_safe(fn):
     """Registry-boundary guard for legitimately-empty results.
@@ -3260,9 +2831,196 @@ def _empty_safe(fn):
     return wrap
 
 
-# Registry order: oracle-backed entries first (registration order kept
-# by the stable sort), rows-only entries last, so a consumer that
-# checks only a leading window of the registry spends none of it on
-# queries without an oracle.
-QUERIES = {k: _empty_safe(QUERIES[k])
-           for k in sorted(QUERIES, key=lambda name: name not in ORACLE_SQL)}
+def _build_registry(rows) -> "tuple[Dict[str, Callable], Dict[str, str]]":
+    """``QUERIES`` (every callable behind ``_empty_safe``) and
+    ``ORACLE_SQL`` from ``(name, fn, oracle_sql or None)`` rows, in row
+    order; a name declared twice is an error, never an override."""
+    queries: Dict[str, Callable] = {}
+    oracles: Dict[str, str] = {}
+    for name, fn, sql in rows:
+        if name in queries:
+            raise ValueError(f"query {name!r} is registered twice")
+        queries[name] = _empty_safe(fn)
+        if sql is not None:
+            oracles[name] = sql
+    return queries, oracles
+
+
+# ---------------------------------------------------------------------------
+# Registry: the one declaration of every query.  A row is (name,
+# callable sf_dir -> Dataset | DataFrame | Table, DuckDB oracle SQL or
+# None).  Rows are in served order: oracle-backed first, rows-only
+# last, so a consumer that checks only a leading window of the registry
+# spends none of it on queries without an oracle.
+# ---------------------------------------------------------------------------
+
+_REGISTRY = [
+    ("scrub_repeated_passages", text_analysis.scrub_repeated_passages,
+     text_analysis.SCRUB_PASSAGES_SQL),
+    ("q1_pricing_summary", q1_pricing_summary, Q1_SQL),
+    ("q1_rollup", q1_rollup, Q1_ROLLUP_SQL),
+    ("q3_top_orders", q3_top_orders, Q3_SQL),
+    ("q5_region_revenue", q5_region_revenue, Q5_SQL),
+    ("q6_forecast_revenue", q6_forecast_revenue, Q6_SQL),
+    ("top_brands_by_revenue", top_brands_by_revenue, TOP_BRANDS_SQL),
+    ("small_qty_part_revenue", small_qty_part_revenue, SMALL_QTY_SQL),
+    ("large_orders_customers", large_orders_customers, LARGE_ORDERS_SQL),
+    ("distinct_part_types", distinct_part_types, DISTINCT_PART_TYPES_SQL),
+    ("top_lineitems_by_price", top_lineitems_by_price, TOP_LINEITEMS_SQL),
+    ("union_key_accounts", union_key_accounts, UNION_ACCOUNTS_SQL),
+    ("intersect_repeat_buyers", intersect_repeat_buyers, INTERSECT_BUYERS_SQL),
+    ("orders_above_global_avg", orders_above_global_avg, ABOVE_AVG_SQL),
+    ("events_by_type", events_by_type, EVENTS_BY_TYPE_SQL),
+    ("daily_event_counts", daily_event_counts, DAILY_EVENTS_SQL),
+    ("event_value_trend", event_value_trend, EVENT_VALUE_TREND_SQL),
+    ("events_sessionize", events_sessionize, SESSIONIZE_SQL),
+    ("events_asof_last_signup", events_asof_last_signup, EVENTS_ASOF_SQL),
+    ("event_value_percentiles", event_value_percentiles, EVENT_PERCENTILES_SQL),
+    ("top_orders_per_priority", top_orders_per_priority, TOP_ORDERS_PER_PRIORITY_SQL),
+    ("events_rolling_sum3", events_rolling_sum3, EVENTS_ROLLING_SQL),
+    ("events_orders_range_join", events_orders_range_join, EVENTS_RANGE_JOIN_SQL),
+    ("events_funnel", events_funnel, EVENTS_FUNNEL_SQL),
+    ("events_user_pivot", events_user_pivot, EVENTS_USER_PIVOT_SQL),
+    ("lapsed_customers", lapsed_customers, LAPSED_CUSTOMERS_SQL),
+    ("events_props_k_stats", events_props_k_stats, EVENTS_PROPS_SQL),
+    ("dedup_exact", dedup_exact, DEDUP_EXACT_SQL),
+    ("doc_token_stats", doc_token_stats, DOC_TOKEN_STATS_SQL),
+    ("chunk_documents", chunk_documents, CHUNK_DOCUMENTS_SQL),
+    ("word_frequency", word_frequency, WORD_FREQUENCY_SQL),
+    ("doc_fingerprint", doc_fingerprint, DOC_FINGERPRINT_SQL),
+    ("knn_cosine", knn_cosine, KNN_COSINE_SQL),
+    ("near_dup_embeddings", near_dup_embeddings, NEAR_DUP_EMB_SQL),
+    ("dedup_ngram_jaccard", dedup.dedup_ngram_jaccard, dedup.NGRAM_JACCARD_SQL),
+    ("dedup_minhash_lsh", dedup.dedup_minhash_lsh, dedup.MINHASH_LSH_SQL),
+    ("dedup_simhash", dedup.dedup_simhash, dedup.SIMHASH_SQL),
+    ("doc_quality", text_analysis.doc_quality, text_analysis.DOC_QUALITY_SQL),
+    ("gopher_quality_filter", text_analysis.gopher_quality_filter,
+     text_analysis.GOPHER_QUALITY_SQL),
+    ("ccnet_quality_buckets", text_analysis.ccnet_quality_buckets,
+     text_analysis.CCNET_BUCKETS_SQL),
+    ("dsir_importance_weights", text_analysis.dsir_importance_weights, text_analysis.DSIR_SQL),
+    ("dsir_select_top", text_analysis.dsir_select_top, text_analysis.DSIR_SELECT_SQL),
+    ("ngram_diversity", text_analysis.ngram_diversity, text_analysis.NGRAM_DIVERSITY_SQL),
+    ("doc_winnow_fingerprints", text_analysis.doc_winnow_fingerprints, text_analysis.WINNOW_SQL),
+    ("winnow_plagiarism_pairs", text_analysis.winnow_plagiarism_pairs,
+     text_analysis.WINNOW_PAIRS_SQL),
+    ("langid_ngram", text_analysis.langid_ngram, text_analysis.LANGID_SQL),
+    ("mine_hard_negatives", similarity.mine_hard_negatives, similarity.HARD_NEGATIVES_SQL),
+    ("knn_classify", similarity.knn_classify, similarity.KNN_CLASSIFY_SQL),
+    ("doc_repetition_signals", text_analysis.doc_repetition_signals, text_analysis.REPETITION_SQL),
+    ("tfidf_top_terms", text_analysis.tfidf_top_terms, text_analysis.TFIDF_SQL),
+    ("bm25_search", text_analysis.bm25_search, text_analysis.BM25_SQL),
+    ("doc_bigram_coverage", text_analysis.doc_bigram_coverage, text_analysis.BIGRAM_COVERAGE_SQL),
+    ("word_pmi_pairs", text_analysis.word_pmi_pairs, text_analysis.WORD_PMI_SQL),
+    ("shared_passages", text_analysis.shared_passages, text_analysis.SHARED_PASSAGES_SQL),
+    ("decontaminate_ngrams", decontam.decontaminate_ngrams, decontam.DECONTAM_SQL),
+    ("source_overlap_matrix", decontam.source_overlap_matrix, decontam.SOURCE_OVERLAP_SQL),
+    ("eval_leakage_report", decontam.eval_leakage_report, decontam.EVAL_LEAKAGE_SQL),
+    ("contamination_by_source", decontam.contamination_by_source, decontam.CONTAM_BY_SOURCE_SQL),
+    ("scrub_pii", pii.scrub_pii, pii.SCRUB_PII_SQL),
+    ("pack_context_windows", packing.pack_context_windows, packing.PACK_WINDOWS_SQL),
+    ("sample_quality_weighted", curation.sample_quality_weighted,
+     curation._sample_quality_weighted_sql()),
+    ("sample_stratified", curation.sample_stratified, curation.SAMPLE_STRATIFIED_SQL),
+    ("sample_token_budget", curation.sample_token_budget, curation.SAMPLE_TOKEN_BUDGET_SQL),
+    ("prep_training_mix", curation.prep_training_mix, curation.PREP_TRAINING_MIX_SQL),
+    ("split_train_val_test", curation.split_train_val_test, curation.SPLIT_SQL),
+    ("shuffle_shards", curation.shuffle_shards, curation.SHUFFLE_SHARDS_SQL),
+    ("dedup_exact_keep_best", curation.dedup_exact_keep_best, curation.DEDUP_KEEP_BEST_SQL),
+    ("curate_corpus", curation.curate_corpus, curation.CURATE_CORPUS_SQL),
+    ("curation_funnel", curation.curation_funnel, curation.CURATION_FUNNEL_SQL),
+    ("dedup_components", dedup.dedup_components, dedup.DEDUP_COMPONENTS_SQL),
+    ("dedup_near_keep_best", dedup.dedup_near_keep_best, dedup.DEDUP_NEAR_KEEP_BEST_SQL),
+    # Misra-Gries never decrements at vocab ≪ capacity: exact regime
+    ("word_frequency_sketch", sketches.word_frequency_sketch, sketches.WORD_FREQ_SKETCH_SQL),
+    # the exact-regime twin: MRL never collapses at s = 2^20 ≥ any
+    # per-batch type count; the compressed regime stays pytest-bounded
+    ("event_value_percentiles_sketch", sketches.event_value_percentiles_sketch_exact,
+     EVENT_PERCENTILES_SQL),
+    ("count_min_words", sketches.count_min_words, sketches.COUNT_MIN_SQL),
+    ("q7_nation_volume", q7_nation_volume, Q7_SQL),
+    ("except_urgent_only_buyers", except_urgent_only_buyers, EXCEPT_BUYERS_SQL),
+    ("events_user_gaps", events_user_gaps, EVENTS_USER_GAPS_SQL),
+    ("users_per_event_type", users_per_event_type, USERS_PER_EVENT_TYPE_SQL),
+    ("filter_length_band", filter_length_band, FILTER_LENGTH_BAND_SQL),
+    ("html_main_content", html_extract.html_main_content, html_extract.HTML_MAIN_CONTENT_SQL),
+    ("decontaminate_bloom", decontam.decontaminate_bloom, decontam.DECONTAM_BLOOM_SQL),
+    ("decontaminate_embeddings", decontam.decontaminate_embeddings, decontam.DECONTAM_EMB_SQL),
+    ("customer_urgent_counts", customer_urgent_counts, CUSTOMER_URGENT_SQL),
+    ("customer_spend_rank", customer_spend_rank, CUSTOMER_SPEND_RANK_SQL),
+    ("q1_cube", q1_cube, Q1_CUBE_SQL),
+    ("audit_documents", audit_documents, AUDIT_DOCUMENTS_SQL),
+    ("q4_order_priority", tpch_more.q4_order_priority, tpch_more.Q4_SQL),
+    ("q8_market_share", tpch_more.q8_market_share, tpch_more.Q8_SQL),
+    ("q10_returned_revenue", tpch_more.q10_returned_revenue, tpch_more.Q10_SQL),
+    ("q12_priority_by_status", tpch_more.q12_priority_by_status, tpch_more.Q12_SQL),
+    ("q13_order_distribution", tpch_more.q13_order_distribution, tpch_more.Q13_SQL),
+    ("q14_promo_revenue", tpch_more.q14_promo_revenue, tpch_more.Q14_SQL),
+    ("q15_top_supplier", tpch_more.q15_top_supplier, tpch_more.Q15_SQL),
+    ("q16_supplier_variety", tpch_more.q16_supplier_variety, tpch_more.Q16_SQL),
+    ("q19_disjunctive_revenue", tpch_more.q19_disjunctive_revenue, tpch_more.Q19_SQL),
+    ("q22_idle_rich_customers", tpch_more.q22_idle_rich_customers, tpch_more.Q22_SQL),
+    ("export_sorted_manifest", curation.export_sorted_manifest, curation.EXPORT_SORTED_SQL),
+    ("hop_event_counts", hop_event_counts, HOP_EVENTS_SQL),
+    ("q2_min_cost_supplier", tpch_final.q2_min_cost_supplier, tpch_final.Q2_SQL),
+    ("q9_profit_by_nation", tpch_final.q9_profit_by_nation, tpch_final.Q9_SQL),
+    ("q11_important_parts", tpch_final.q11_important_parts, tpch_final.Q11_SQL),
+    ("q20_promotion_suppliers", tpch_final.q20_promotion_suppliers, tpch_final.Q20_SQL),
+    ("q21_waiting_suppliers", tpch_final.q21_waiting_suppliers, tpch_final.Q21_SQL),
+    # probes ALL lists: the lists partition the corpus, so the indexed read
+    # equals brute-force knn; the pruned regime is pinned in
+    # tests/test_ann_index.py
+    ("knn_cosine_ivf_indexed", ann_index.knn_cosine_ivf_indexed_fullprobe,
+     ann_index.KNN_IVF_INDEXED_SQL),
+    ("sample_temperature_mix", curation.sample_temperature_mix, curation.SAMPLE_TEMPERATURE_SQL),
+    ("dedup_incremental", dedup.dedup_incremental, dedup.DEDUP_INCREMENTAL_SQL),
+    # rows-only: no SQL oracle; the comment above each row says why
+    # model-scoring stage
+    ("media_features", multimodal.media_features, None),
+    # image codec output
+    ("media_thumbnails", multimodal.media_thumbnails, None),
+    # per-doc dialog graph walk over extracted spans
+    ("character_dialog_counts", analytics.character_dialog_counts, None),
+    # counts over extracted spans: the extraction is a DOM/block state machine
+    ("scene_stats", analytics.scene_stats, None),
+    # analyzer plugin protocol over extracted spans
+    ("scene_analysis", analytics.scene_analysis, None),
+    # approximate by IVF probing; recall vs brute force in tests/test_similarity.py
+    ("knn_cosine_ivf", similarity.knn_cosine_ivf, None),
+    # approximate by SQ8 quantization; recall vs brute force in tests/test_similarity.py
+    ("knn_cosine_sq8", similarity.knn_cosine_sq8, None),
+    # approximate by LSH banding; recall vs the exact twin in tests/test_similarity.py
+    ("near_dup_embeddings_lsh", similarity.near_dup_embeddings_lsh, None),
+    # HyperLogLog estimate; accuracy bound in tests/test_sketches.py
+    ("approx_distinct_tokens", sketches.approx_distinct_tokens, None),
+    # seeded k-means fit
+    ("cluster_embeddings", clustering.cluster_embeddings, None),
+    # SemDeDup over seeded k-means clusters; numpy twin in tests/test_semantic_dedup.py
+    ("dedup_semantic", clustering.dedup_semantic, None),
+    # perceptual hash of decoded image payloads
+    ("near_dup_images", multimodal.near_dup_images, None),
+    # energy-delta hash of decoded WAV payloads
+    ("near_dup_audio", multimodal.near_dup_audio, None),
+    # perceptual hash of decoded video payloads
+    ("near_dup_videos", multimodal.near_dup_videos, None),
+    # BPE merge learning; naive-recount twin in tests/test_bpe.py
+    ("bpe_train_merges", bpe.bpe_train_merges, None),
+    # BPE tokenization; naive-recount twin in tests/test_bpe.py
+    ("bpe_token_counts", bpe.bpe_token_counts, None),
+    # k-means list assignment; manifest sums + partition pruning in
+    # tests/test_ann_index.py
+    ("build_ivf_index", ann_index.build_ivf_index, None),
+    # k-means list assignment; equals a one-shot build in
+    # tests/test_ann_index.py
+    ("ivf_index_incremental", ann_index.ivf_index_incremental, None),
+    # greedy argmax chains; naive-twin and all-candidates equality in
+    # tests/test_mmr.py
+    ("rerank_mmr", mmr.rerank_mmr, None),
+    # eigendecomposition; numpy twin and the exchange-fold path in
+    # tests/test_pca.py
+    ("pca_project", pca.pca_project, None),
+    # span kinds of the flagship extraction: a DOM/block state machine
+    ("extract_corpus_kinds", flagship.extract_corpus_kinds, None),
+]
+
+QUERIES, ORACLE_SQL = _build_registry(_REGISTRY)

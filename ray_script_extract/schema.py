@@ -30,10 +30,3 @@ INPUT_KINDS = ("pdf_page_xml", "pdf_raw", "html", "text", "image", "media")
 OUTPUT_KINDS = ("Scene", "Dialogue", "Character", "Parens", "Action",
                 "Transition", "Shot", "New Act", "Text", "Title", "Author",
                 "Page Header", "The End", "Fly Page Text", "image", "media")
-
-
-def spans_to_arrow(spans) -> list:
-    """Convert [(kind, text, media_ref, offset)] tuples to the list-of-dict
-    representation Arrow expects for SPAN_STRUCT."""
-    return [{"kind": k, "text": t, "media_ref": m, "offset": o}
-            for (k, t, m, o) in spans]

@@ -1,11 +1,10 @@
-"""Skew defusal: per-document size stats + log2 size buckets.
+"""Per-document size stats for the extract stage's size guard.
 
-A multi-hundred-page document is one indivisible row; left alone, a
-few outliers serialize the tail of the extract stage.  We compute
-``doc_bytes`` vectorized (Arrow buffer arithmetic, no Python loop),
-bucket by ``floor(log2(bytes))``, and the pipeline uses the bucket to
-(a) sort/repartition so heavy docs spread across actors early and
-(b) shrink ``batch_size`` for the top buckets.
+``doc_bytes`` is the UTF-8 byte total of a document's span texts,
+computed vectorized (Arrow buffer arithmetic, no Python loop).  The
+extract stage rejects a document above ``ExtractorActor.MAX_DOC_BYTES``
+by it, as the reference rejects an oversized upload.  Heavy-document
+skew is left to the pipeline's small batch size.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ def add_size_stats(batch: pa.Table) -> pa.Table:
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.chunk(0) if spans.num_chunks else None
     if spans is None or len(batch) == 0:
-        return batch.append_column("doc_bytes", pa.array([], pa.int64())) \
-                    .append_column("size_bucket", pa.array([], pa.int32()))
-    doc_bytes = _per_row_text_bytes(spans)
-    bucket = np.floor(np.log2(np.maximum(doc_bytes, 1))).astype(np.int32)
-    return batch.append_column("doc_bytes", pa.array(doc_bytes, pa.int64())) \
-                .append_column("size_bucket", pa.array(bucket, pa.int32()))
+        return batch.append_column("doc_bytes", pa.array([], pa.int64()))
+    return batch.append_column(
+        "doc_bytes", pa.array(_per_row_text_bytes(spans), pa.int64()))

@@ -1,7 +1,7 @@
 """The pdf_heavy corpus mix (BASELINE.json's input_hint shape):
 proportions land near spec, the default mix stays bit-stable under
-the new parameter, and a pdf-heavy corpus extracts end-to-end with
-one output row per document."""
+the new parameter, and a pdf-heavy corpus — like the skewed default
+corpus — extracts end-to-end with one output row per document."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def test_mix_proportions_and_default_stability():
 def test_pdf_heavy_corpus_extracts(tmp_path):
     import ray.data
 
-    from ray_script_extract.corpus import write_corpus_parquet
+    from ray_script_extract.corpus import corpus_dataset, write_corpus_parquet
     from ray_script_extract.pipelines.extract_pipeline import \
         build_extract_pipeline
 
@@ -46,3 +46,9 @@ def test_pdf_heavy_corpus_extracts(tmp_path):
     res = build_extract_pipeline(
         ray.data.read_parquet(out), batch_size=None)
     assert res.count() == n
+    # indices 0..119 of the default mix include one 'large' (0) and
+    # several 'medium' docs: every one keeps its row
+    ids = [r["doc_id"] for r in
+           build_extract_pipeline(corpus_dataset(120, docs_per_block=30))
+           .iter_rows()]
+    assert len(set(ids)) == len(ids) == 120

@@ -1,6 +1,8 @@
 """Local stand-in for the driver's correctness gate: run each
 queries() entry AND its oracle_sql() side by side, compare row count,
-schema (column names), and order-insensitive values.
+schema (column names), and order-insensitive values.  Entries without
+an oracle run rows-only.  The last line is the summary
+``N OK, M rows-only, K bad``.
 
 Usage: python tools/check_correctness.py [sf_dir] [name ...]
 """
@@ -72,7 +74,7 @@ def main() -> int:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{sf_dir}/{t}.parquet')")
 
-    n_bad = 0
+    n_ok = n_rows_only = n_bad = 0
     import time
     for name, fn in QUERIES.items():
         if only and name not in only:
@@ -91,13 +93,17 @@ def main() -> int:
         sql = ORACLE_SQL.get(name)
         if sql is None:
             print(f"{name:28s} rows-only: {len(res)} rows  [{time.time()-t0:.1f}s]")
+            n_rows_only += 1
             continue
         sql_df = con.sql(sql).df()
         verdict = compare(name, res, sql_df)
         print(f"{name:28s} {verdict}  ({len(res)} rows) [{time.time()-t0:.1f}s]")
-        if verdict != "OK":
+        if verdict == "OK":
+            n_ok += 1
+        else:
             n_bad += 1
     ray.shutdown()
+    print(f"{n_ok} OK, {n_rows_only} rows-only, {n_bad} bad")
     return 1 if n_bad else 0
 
 
