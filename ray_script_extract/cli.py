@@ -102,10 +102,13 @@ def main(argv=None) -> int:
 
 def _convert(args) -> int:
     if args.path.endswith(".shakespeare"):
-        from .sources.shakespeare import parse_shakespeare_text
+        from .sources.shakespeare import (
+            parse_shakespeare_text,
+            records_to_objects,
+        )
 
-        objects = parse_shakespeare_text(
-            open(args.path, "rb").read().decode("iso-8859-1"))
+        objects = records_to_objects(parse_shakespeare_text(
+            open(args.path, "rb").read().decode("iso-8859-1")))
         if args.format == "fountain":
             from .sources.writers import write_fountain
 

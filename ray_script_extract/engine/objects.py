@@ -27,8 +27,16 @@ _JSON_TYPE = {
 }
 
 
+_TYPE_OF_JSON = {v: k for k, v in _JSON_TYPE.items()}
+
+
 def json_type_name(t: str) -> str:
     return _JSON_TYPE.get(t, t)
+
+
+def internal_type_name(json_name: str) -> str:
+    """Inverse of ``json_type_name``."""
+    return _TYPE_OF_JSON.get(json_name, json_name)
 
 
 class ScriptObject:

@@ -18,17 +18,162 @@ Behavioral spec re-derived from the reference's shakespeare reader
   literal "EPILOGUE" → Slugline); ``<p>`` → Action unless it starts
   with "To " or equals "Aside" (→ Paren);
 * ``<h3>`` → Act when prefixed "ACT" else Slugline.
+
+``parse_shakespeare_text`` is the production reader: one pass over the
+``htmldom`` tokenizer's matches that keeps only a stack of open tag
+names (with the tree builder's implicit-close rules), collects text
+only under the elements the walk reads, and yields the play as
+``(JSON kind, text)`` records.  ``parse_shakespeare_dom`` is the walk
+above over the full ``parse_html`` tree, kept as its test-side
+reference (``tests/test_html_play_records.py``).
 """
 
 from __future__ import annotations
 
+import html as _html
 from typing import List, Tuple
 
-from ..engine.objects import ScriptObject
-from ..functions.textutil import collapse_blanks_and_newlines, is_prefix
-from .htmldom import Node, parse_html
+from ..engine.objects import ScriptObject, internal_type_name
+from ..functions.textutil import (
+    collapse_blanks_and_newlines,
+    is_prefix,
+    strip_color_formatting,
+)
+from .htmldom import _CLOSED_BY, _TOKEN, VOID_ELEMENTS, _parse_attrs, parse_html
 
 ENTIRE_PLAY_SUFFIX_LEN = len(": Entire Play")
+AUTHOR = "William Shakespeare"
+
+Record = Tuple[str, str]  # (JSON kind, text)
+
+# the synthesized title page around its one variable line, the Title
+_BLANK: Record = ("Text", "")
+_TITLE_PAGE_BEFORE: List[Record] = [_BLANK] * 17
+_TITLE_PAGE_AFTER: List[Record] = (
+    [_BLANK] * 3 + [("Text", "By")] + [_BLANK] * 2 + [("Author", AUTHOR)]
+    + [_BLANK] * 24)
+TITLE_PAGE_LINES = len(_TITLE_PAGE_BEFORE) + 1 + len(_TITLE_PAGE_AFTER)
+_BY_LINE = len(_TITLE_PAGE_BEFORE) + 4
+
+# roles of the elements the walk reads; 0 is every other element.
+# Roles from _TITLE on collect their descendant text.
+_HEAD, _BODY, _QUOTE, _TITLE, _SPEECH, _H3, _LINE, _PARA = range(1, 9)
+# (parent role, tag) -> role; the first head/body are found by tag
+_CHILD_ROLE = {
+    (_HEAD, "title"): _TITLE,
+    (_BODY, "a"): _SPEECH,  # only with a name="speech…" attribute
+    (_BODY, "h3"): _H3,
+    (_BODY, "blockquote"): _QUOTE,
+    (_QUOTE, "a"): _LINE,
+    (_QUOTE, "p"): _PARA,
+}
+
+
+def _append_records(records: List[Record], role: int, content: str) -> None:
+    """The records of one closed body element, as the walk makes them.
+    Tests run on the collapsed text; colour markers are stripped after,
+    as ``ScriptObject.__init__`` does."""
+    strip = strip_color_formatting
+    if role == _LINE:
+        if content == "EPILOGUE":
+            records.append(("Scene", content))
+            return
+        if content[:1] == "[":
+            end = content.find("]")
+            if end != -1:
+                records.append(("Parens", strip("(" + content[1:end] + ")")))
+                content = content[end + 1:]
+        if content != "":
+            records.append(("Dialogue", strip(content)))
+    elif role == _SPEECH:
+        if records and records[-1][0] == "Character":
+            # two characters speaking at once merge: "X & Y"; the
+            # appended name keeps its colour markers (set_content)
+            records[-1] = ("Character", f"{records[-1][1]} & {content}")
+        else:
+            records.append(("Character", strip(content)))
+    elif role == _PARA:
+        if is_prefix(content, "To ") or content == "Aside":
+            records.append(("Parens", strip("(" + content + ")")))
+        else:
+            records.append(("Action", strip(content)))
+    else:  # _H3
+        records.append(("New Act" if is_prefix(content, "ACT") else "Scene",
+                        strip(content)))
+
+
+def parse_shakespeare_text(html_text: str) -> List[Record]:
+    """One Shakespeare-style HTML document → its ordered
+    ``(JSON kind, text)`` records, title page first."""
+    stack = ["#document"]  # open tag names, as parse_html's builder keeps them
+    roles = [0]
+    starts: List[int] = []  # where in ``chunks`` each open collector began
+    chunks: List[str] = []  # text under the open collectors
+    records: List[Record] = []
+    title = ""
+    seen_head = seen_body = False
+
+    def unwind(depth: int) -> None:
+        """Close the open elements above ``depth``, innermost first."""
+        nonlocal title
+        while len(stack) > depth:
+            stack.pop()
+            role = roles.pop()
+            if role >= _TITLE:
+                content = collapse_blanks_and_newlines(
+                    "".join(chunks[starts.pop():]))
+                if not starts:
+                    chunks.clear()
+                if role == _TITLE:
+                    title = content[: len(content) - ENTIRE_PLAY_SUFFIX_LEN]
+                else:
+                    _append_records(records, role, content)
+
+    pos = 0
+    for m in _TOKEN.finditer(html_text):
+        begin, end = m.span()
+        if starts and begin > pos:
+            data = html_text[pos:begin]
+            chunks.append(_html.unescape(data) if "&" in data else data)
+        pos = end
+        end_name, start_name, attr_raw, self_close = m.groups()
+        if start_name is not None:
+            tag = start_name.lower()
+            while len(stack) > 1 and tag in _CLOSED_BY.get(stack[-1], ()):
+                unwind(len(stack) - 1)
+            parent = roles[-1]
+            role = _CHILD_ROLE.get((parent, tag), 0) if parent else 0
+            if role == _SPEECH and not is_prefix(
+                    _parse_attrs(attr_raw).get("name") or "", "speech"):
+                role = 0  # non-speech anchors at body level are dropped
+            elif tag == "head" and not seen_head:
+                role, seen_head = _HEAD, True
+            elif tag == "body" and not seen_body:
+                role, seen_body = _BODY, True
+            stack.append(tag)
+            roles.append(role)
+            if role >= _TITLE:
+                starts.append(len(chunks))
+            if self_close or tag in VOID_ELEMENTS:
+                unwind(len(stack) - 1)  # closed as soon as opened
+        elif end_name is not None:
+            tag = end_name.lower()
+            if tag in VOID_ELEMENTS:
+                continue
+            for i in range(len(stack) - 1, 0, -1):
+                if stack[i] == tag:
+                    unwind(i)
+                    break
+        # comments/doctype/PI: dropped
+    if starts and pos < len(html_text):
+        data = html_text[pos:]
+        chunks.append(_html.unescape(data) if "&" in data else data)
+    unwind(1)
+
+    out = _TITLE_PAGE_BEFORE + [("Title", strip_color_formatting(title))]
+    out += _TITLE_PAGE_AFTER
+    out += records
+    return out
 
 
 def _obj(type_: str, content: str, title_page: bool = False) -> ScriptObject:
@@ -38,8 +183,22 @@ def _obj(type_: str, content: str, title_page: bool = False) -> ScriptObject:
                         pdf_path=False)
 
 
-def parse_shakespeare_text(html_text: str) -> List[ScriptObject]:
-    """Parse one Shakespeare-style HTML document into ordered ScriptObjects."""
+def records_to_objects(records: List[Record]) -> List[ScriptObject]:
+    """The ScriptObjects ``cli convert`` writes, from a play's records:
+    the title page on page 1 with "By" centered, the body on page 2."""
+    objects = []
+    for i, (kind, text) in enumerate(records):
+        obj = _obj(internal_type_name(kind), "", i < TITLE_PAGE_LINES)
+        obj.set_content(text)  # already stripped: set_content keeps it as is
+        objects.append(obj)
+    objects[_BY_LINE].set_attribute("alignment", "center")
+    return objects
+
+
+def parse_shakespeare_dom(html_text: str) -> List[ScriptObject]:
+    """Reference reader: the walk over the full ``parse_html`` tree.
+    ``parse_shakespeare_text`` must equal its
+    ``(get_type_json(), content)`` projection."""
     root = parse_html(html_text)
     objects: List[ScriptObject] = []
 
@@ -51,7 +210,6 @@ def parse_shakespeare_text(html_text: str) -> List[ScriptObject]:
             if child.tag == "title":
                 content = collapse_blanks_and_newlines(child.text())
                 title = content[: len(content) - ENTIRE_PLAY_SUFFIX_LEN]
-    author = "William Shakespeare"
 
     def blanks(n: int) -> None:
         for _ in range(n):
@@ -64,7 +222,7 @@ def parse_shakespeare_text(html_text: str) -> List[ScriptObject]:
     by.set_attribute("alignment", "center")
     objects.append(by)
     blanks(2)
-    objects.append(_obj("Author", author, True))
+    objects.append(_obj("Author", AUTHOR, True))
     blanks(24)
 
     # --- body walk ----------------------------------------------------
@@ -113,9 +271,3 @@ def parse_shakespeare_text(html_text: str) -> List[ScriptObject]:
             # all other body children (tables/nav/boilerplate) dropped
 
     return objects
-
-
-def objects_to_spans(objects: List[ScriptObject]) -> List[Tuple[str, str, str, int]]:
-    """Project ScriptObjects to output span tuples
-    (kind, text, media_ref, offset) using the JSON type names."""
-    return [(o.get_type_json(), o.content, "", i) for i, o in enumerate(objects)]

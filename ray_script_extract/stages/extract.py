@@ -1,15 +1,16 @@
 """The extraction stage: interleaved input spans → typed output spans.
 
 This is the engine's flagship ``map_batches`` stage.  ``ExtractorActor``
-holds the warm state — compiled predicate/classifier tables, the HTML
-tree builder, the PDF front-end — built once in ``__init__``;
+holds the warm state — compiled predicate/classifier tables, the PDF
+front-end — built once in ``__init__``;
 ``__call__`` handles one zero-copy Arrow batch of documents.  The
 pipeline runs it through ``extract_batch``, a module-level singleton
 in a plain task pool.
 
 Dispatch per input span kind (FIXTURES.md §1):
 
-* ``html``          → Shakespeare-path DOM walk → screenplay spans
+* ``html``          → one tokenizer pass straight to ``(kind, text)``
+  records (no DOM tree, no ScriptObjects) → screenplay spans
 * ``text``          → passthrough ``Text`` spans
 * ``pdf_page_xml``  → line assembly + block engine (engine/)
 * ``pdf_raw``       → native PDF front-end → typed page records → line
@@ -40,7 +41,7 @@ class ExtractorActor:
 
     def __init__(self) -> None:
         # Warm state: importing the modules compiled every predicate
-        # regex; per-actor caches go here.
+        # regex and the HTML tokenizer; per-actor caches go here.
         from ..engine import pdfdoc  # noqa: F401  (registers PDF path)
         self._pdf_extract = pdfdoc.extract_pdf_xml_document
         self._pdf_raw_extract = pdfdoc.extract_pdf_raw_document_with_media
@@ -73,8 +74,8 @@ class ExtractorActor:
                 continue
             flush_pages()
             if kind == "html":
-                for obj in parse_shakespeare_text(span["text"]):
-                    emit(obj.get_type_json(), obj.content)
+                for rec_kind, text in parse_shakespeare_text(span["text"]):
+                    emit(rec_kind, text)
             elif kind == "text":
                 emit("Text", span["text"])
             elif kind == "pdf_raw":

@@ -17,10 +17,8 @@ import os
 
 import pytest
 
-from ray_script_extract.sources.shakespeare import (
-    objects_to_spans,
-    parse_shakespeare_text,
-)
+from ray_script_extract.sources.shakespeare import parse_shakespeare_text
+from ray_script_extract.stages.extract import ExtractorActor
 
 GOLDEN_DIR = "/root/reference/shakespeare"
 
@@ -42,8 +40,7 @@ def _load_pair(path):
 @pytest.mark.parametrize("path", PAIRS, ids=[os.path.basename(p) for p in PAIRS])
 def test_golden_pair(path):
     html, expected = _load_pair(path)
-    objs = parse_shakespeare_text(html)
-    got = [(o.get_type_json(), o.content) for o in objs]
+    got = parse_shakespeare_text(html)
     assert got == expected
 
 
@@ -52,13 +49,14 @@ def test_hamlet_span_projection():
     """Spot-check the span tuple projection and known Hamlet totals."""
     path = os.path.join(GOLDEN_DIR, "tragedies", "Hamlet_ Entire Play.shakespeare")
     html, _ = _load_pair(path)
-    spans = objects_to_spans(parse_shakespeare_text(html))
-    assert [s[3] for s in spans] == list(range(len(spans)))  # dense offsets
+    spans = ExtractorActor().extract_doc(
+        "hamlet", [{"kind": "html", "text": html, "media_ref": ""}])
+    assert [s["offset"] for s in spans] == list(range(len(spans)))  # dense
     body = spans[49:]  # 49-line synthesized title page
     assert len(body) == 5389
     from collections import Counter
 
-    counts = Counter(s[0] for s in body)
+    counts = Counter(s["kind"] for s in body)
     assert counts["Dialogue"] == 4003
     assert counts["Character"] == 1138
     assert counts["Action"] == 181
