@@ -243,6 +243,9 @@ def corpus_dataset(num_docs: int, seed: int = 42, skewed: bool = True,
     """
     import ray.data
 
+    from .pipelines import tune_data_context
+
+    tune_data_context()
     shards = [{"start": s, "count": min(docs_per_block, num_docs - s),
                "seed": seed, "skewed": skewed}
               for s in range(0, num_docs, docs_per_block)]

@@ -1,5 +1,9 @@
 """The screenplay block engine: LineObjects → classified ScriptObjects.
 
+A block's text (``Block.text``) is all the extract path reads; its
+colour and attribute ranges (``Block.ranges``) are built only when a
+writer reads the ScriptObject's ranges.
+
 Behavioral spec re-derived from the reference's Text_Parser
 (`/root/reference/src/parser/analyzer/ParseText.php:991-1794`) and
 NGText_Block (`:1939-2388`), including its load-bearing quirks:
@@ -23,7 +27,10 @@ NGText_Block (`:1939-2388`), including its load-bearing quirks:
   "Blank" (:1009,1767-1780);
 * `maybe_break_up_last_dialog`'s splitting loop is disabled
   (`if (FALSE)`, :2624), so its net effect is replacing the last
-  Dialog with a freshly-constructed copy (resetting num_lines);
+  Dialog with a freshly-constructed copy (resetting num_lines and the
+  dual flags, dropping an empty one, re-slicing its ranges to the
+  content length); parse_text builds each Dialog in that final shape
+  once (`_dialog_ranges`);
 * the Dialog-after-slug demotion compares `$block->x` with a
   possibly-FALSE indent via loose `==` (:1310), so x==0 matches a
   missing Action indent.
@@ -32,7 +39,7 @@ NGText_Block (`:1939-2388`), including its load-bearing quirks:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..functions.looks_like import (
     contains_vo_os_notation,
@@ -142,7 +149,7 @@ class SeriesTimer:
 
 class Block:
     __slots__ = ("x", "y", "lines", "width", "height", "kind",
-                 "classification_is_unsure", "hanging_punctuation", "maybes",
+                 "classification_is_unsure",
                  "has_dual_line", "is_dual_line", "colors", "font_size",
                  "text_attributes", "number_object")
 
@@ -154,8 +161,6 @@ class Block:
         self.height = 1
         self.kind: Optional[str] = None
         self.classification_is_unsure = False
-        self.hanging_punctuation = False
-        self.maybes: List[str] = []
         self.is_dual_line = False
         self.has_dual_line = False
         self.colors: List[Dict] = [piece.colors]
@@ -166,15 +171,9 @@ class Block:
     def is_blank(self) -> bool:
         return self.height == 1 and self.lines[0] == ""
 
-    def first_char(self) -> str:
-        return self.lines[0][:1]
-
-    def last_char(self) -> str:
-        return self.lines[-1][-1:]
-
     def is_entirely_parens(self) -> bool:
-        return (self.first_char() in ("(", "[")
-                and self.last_char() in (")", "]"))
+        return (self.lines[0][:1] in ("(", "[")
+                and self.lines[-1][-1:] in (")", "]"))
 
     def is_uppercase_single_line(self) -> bool:
         return self.height == 1 and is_uppercase(self.lines[0])
@@ -182,12 +181,9 @@ class Block:
     def combine(self, piece: BlockPiece) -> None:
         if piece.y == self.y + self.height:
             # series_indent field is never set in the reference → the
-            # first branch there is dead; hanging-punctuation tracking:
+            # first branch there is dead
             if piece.x < self.x:
                 self.width += self.x - piece.x
-                self.hanging_punctuation = True
-            elif piece.x > self.x:
-                self.hanging_punctuation = True
             self.lines.append(piece.text)
             self.colors.append(piece.colors)
             right_edge = piece.x + piece.width
@@ -253,7 +249,27 @@ class Block:
             return False
         return True
 
-    def get_text_and_colors(self) -> Dict:
+    def text(self) -> str:
+        """The lines joined with one space, except where the text so far
+        ends in an alphanumeric and a hyphen: the reference's
+        get_text_and_colors without its ranges."""
+        lines = self.lines
+        if len(lines) == 1:
+            return lines[0]
+        joined = " ".join(lines)
+        if "-" not in joined:
+            return joined
+        result = lines[0]
+        for lx in range(1, len(lines)):
+            if not _HYPHEN_END_RE.search(result, max(0, len(result) - 3)):
+                result += " "
+            result += lines[lx]
+        return result
+
+    def ranges(self) -> Tuple[Dict, Dict]:
+        """Colour and textAttribute ranges over ``text()``: each line's
+        ranges shifted to where the join puts that line.  Only the
+        writers read them, through a ScriptObject's ``ranges`` thunk."""
         result = self.lines[0]
         result_colors = {k: list(v) for k, v in self.colors[0].items()}
         result_attrs = {k: list(v) for k, v in self.text_attributes[0].items()}
@@ -270,12 +286,11 @@ class Block:
                     result_attrs.setdefault(key, []).append(
                         {"start": e["start"] + prev_len, "end": e["end"] + prev_len})
             result += self.lines[lx]
-        return {"text": result, "colors": result_colors,
-                "textAttributes": result_attrs}
+        return result_colors, result_attrs
 
     def definitely_not_character(self) -> bool:
         if self.height != 1:
-            t = self.get_text_and_colors()["text"]
+            t = self.text()
             if "(" not in t and "[" not in t:
                 return True
         if self.lines[0][:1] in ("-", "."):
@@ -290,7 +305,7 @@ class Block:
             return True
         if self.kind != "Action":
             return False
-        t = self.get_text_and_colors()["text"]
+        t = self.text()
         i = t.find(" ")
         if i == -1:
             # strstr returns FALSE; is_uppercase(FALSE) is FALSE in PHP
@@ -333,25 +348,23 @@ class Block:
                 self.kind = ("Slugline" if self.x < 8 and is_uppercase(self.lines[0])
                              else "Character")
                 self.classification_is_unsure = True
-        elif looks_like_parenthetical(self.get_text_and_colors()["text"]):
-            self.kind = "Paren"
-        elif probably_dialog:
-            self.kind = "Dialog"
-            self.classification_is_unsure = True
-        elif _PRONOUN_RE.search(self.get_text_and_colors()["text"]):
-            self.kind = "Dialog"
-            self.classification_is_unsure = True
-        elif _ACTION_VERB_RE.search(self.get_text_and_colors()["text"]):
-            self.kind = "Action"
-            self.classification_is_unsure = True
         else:
-            self.kind = "Unknown"
+            text = self.text()
+            if looks_like_parenthetical(text):
+                self.kind = "Paren"
+                return
             self.classification_is_unsure = True
+            if probably_dialog or _PRONOUN_RE.search(text):
+                self.kind = "Dialog"
+            elif _ACTION_VERB_RE.search(text):
+                self.kind = "Action"
+            else:
+                self.kind = "Unknown"
 
     def reclassify_using_indent(self, maybe_kinds: List[str]) -> None:
-        if self.definitely_not_character():
+        if "Character" in maybe_kinds and self.definitely_not_character():
             maybe_kinds = [v for v in maybe_kinds if v != "Character"]
-        if self.definitely_not_transition():
+        if "Transition" in maybe_kinds and self.definitely_not_transition():
             maybe_kinds = [v for v in maybe_kinds if v != "Transition"]
         if self.kind in maybe_kinds:
             self.classification_is_unsure = False
@@ -376,29 +389,32 @@ class Block:
             return
 
 
-def get_likely_indent_for(blocks: List[Block], kind: str):
-    """Mode of block x per kind; ties resolved by first-appearance
-    order — last max key for Character/Dialog, first for others
-    (ParseText.php:1872-1897). Returns False when kind absent."""
-    counts: Dict[int, int] = {}
+def get_likely_indents(blocks: List[Block], kinds) -> Dict[str, object]:
+    """Per kind, the mode of block x in one pass over the blocks; ties
+    go by first appearance: the last max key for Character/Dialog, the
+    first for others (ParseText.php:1872-1897, get_likely_indent_for).
+    A kind no block has maps to False."""
+    counts: Dict[str, Dict[int, int]] = {kind: {} for kind in kinds}
     for block in blocks:
-        if block.kind == kind:
-            counts[block.x] = counts.get(block.x, 0) + 1
-    if counts:
-        mx = max(counts.values())
-        max_keys = [k for k in counts if counts[k] == mx]  # insertion order
-        if kind in ("Character", "Dialog"):
-            return max_keys[-1]
-        return max_keys[0]
-    return False
+        by_x = counts.get(block.kind)
+        if by_x is not None:
+            by_x[block.x] = by_x.get(block.x, 0) + 1
+    likely: Dict[str, object] = {}
+    for kind, by_x in counts.items():
+        if by_x:
+            mx = max(by_x.values())
+            max_keys = [k for k in by_x if by_x[k] == mx]  # insertion order
+            likely[kind] = (max_keys[-1] if kind in ("Character", "Dialog")
+                            else max_keys[0])
+        else:
+            likely[kind] = False
+    return likely
 
 
 def prevgen_compute_indents(blocks: List[Block]) -> Dict[str, int]:
-    likely: Dict[str, int] = {}
-    for v in ("Character", "Dialog", "Slugline", "Action"):
-        L = get_likely_indent_for(blocks, v)
-        if L is not False:
-            likely[v] = L
+    likely = {k: v for k, v in get_likely_indents(
+        blocks, ("Character", "Dialog", "Slugline", "Action")).items()
+        if v is not False}
     if ("Action" not in likely and "Slugline" not in likely
             and "Dialog" in likely and likely["Dialog"] > 0):
         likely["Action"] = 0
@@ -409,16 +425,16 @@ def prevgen_compute_indents(blocks: List[Block]) -> Dict[str, int]:
     return likely
 
 
+_INDENT_KINDS = frozenset({"Character", "Paren", "Dialog", "Action",
+                           "Slugline", "Transition", "Text", "Unknown"})
+
+
 def nextgen_compute_indents(blocks: List[Block]):
-    interesting = ("Character", "Paren", "Dialog", "Action", "Slugline",
-                   "Transition", "Text", "Unknown")
     by_indent: Dict[int, List[Block]] = {}
     for block in blocks:
-        if block.kind not in interesting:
-            continue
-        if looks_like_scene_number(block.get_text_and_colors()["text"]):
-            continue
-        by_indent.setdefault(block.x, []).append(block)
+        if (block.kind in _INDENT_KINDS
+                and not looks_like_scene_number(block.text())):
+            by_indent.setdefault(block.x, []).append(block)
 
     likely: Dict[str, int] = {}
     lkeys = sorted(by_indent.keys())

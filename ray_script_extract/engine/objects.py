@@ -9,7 +9,7 @@ space compression, and the JSON type-name mapping
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..functions.textutil import compress_spaces, strip_color_formatting
 
@@ -40,17 +40,27 @@ def internal_type_name(json_name: str) -> str:
 
 
 class ScriptObject:
-    """One typed span of the extracted document, in reading order."""
+    """One typed span of the extracted document, in reading order.
 
-    __slots__ = ("type", "content", "page_num", "given_page_num", "colors",
-                 "num_lines", "has_dual_line", "is_dual_line", "attributes",
-                 "_pdf_path")
+    Colour and textAttribute ranges feed only the WD-JSON writer and
+    the revision pass, so the block engine hands them over as
+    ``ranges``, a thunk that takes the object and returns ``(colors,
+    text_attributes)``.  It runs the first time ``colors`` or
+    ``attributes`` is read, which the extract path never does: it
+    reads only ``type`` and ``content``."""
+
+    __slots__ = ("type", "content", "page_num", "given_page_num", "_colors",
+                 "num_lines", "has_dual_line", "is_dual_line", "_attributes",
+                 "_pdf_path", "_ranges")
 
     def __init__(self, type_: str, content: str, page_num: int,
                  given_page_num: Any, colors: Optional[Dict] = None,
                  font_size: Any = 16, text_attributes: Optional[Dict] = None,
                  number_object: Optional[Dict] = None,
-                 pdf_path: bool = False) -> None:
+                 pdf_path: bool = False,
+                 ranges: Optional[Callable[["ScriptObject"],
+                                           Tuple[Dict, Dict]]] = None
+                 ) -> None:
         if type_ not in VALID_TYPES:
             type_ = "Text"
         self.type = type_
@@ -61,12 +71,29 @@ class ScriptObject:
         self.num_lines = 1
         self.has_dual_line = False
         self.is_dual_line = False
-        self.colors = colors if colors is not None else {}
-        self.attributes: Dict[str, Any] = {
+        self._colors = colors if colors is not None else {}
+        self._attributes: Dict[str, Any] = {
             "fontSize": font_size,
             "textAttributes": text_attributes if text_attributes is not None else {},
             "numberObject": number_object if number_object is not None else {},
         }
+        self._ranges = ranges
+
+    def _build_ranges(self) -> None:
+        self._colors, self._attributes["textAttributes"] = self._ranges(self)
+        self._ranges = None
+
+    @property
+    def colors(self) -> Dict:
+        if self._ranges is not None:
+            self._build_ranges()
+        return self._colors
+
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        if self._ranges is not None:
+            self._build_ranges()
+        return self._attributes
 
     # -- accessors mirroring the reference's surface -------------------
     def get_type_json(self) -> str:
@@ -82,10 +109,13 @@ class ScriptObject:
         return self.attributes.get(name)
 
     def set_attribute(self, name: str, value: Any) -> None:
-        self.attributes[name] = value
+        self._attributes[name] = value
 
     def get_font_size(self) -> Any:
-        return self.attributes.get("fontSize", 16)
+        return self._attributes.get("fontSize", 16)
+
+    def get_number_object(self) -> Dict:
+        return self._attributes.get("numberObject", {})
 
     def add_revision(self, weight_num: int, instance: Dict) -> None:
         self.attributes.setdefault("revisions", {}).setdefault(weight_num, []).append(instance)

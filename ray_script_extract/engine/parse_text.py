@@ -13,6 +13,7 @@ blocks.py for the quirk inventory.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..functions.looks_like import (
@@ -21,13 +22,13 @@ from ..functions.looks_like import (
     looks_like_series_or_montage_slugline,
     looks_like_slugline,
 )
-from ..functions.textutil import is_uppercase, reduce_spaces
+from ..functions.textutil import is_uppercase
 from .blocks import (
     Block,
     BlockPiece,
     SeriesTimer,
     get_alignment,
-    get_likely_indent_for,
+    get_likely_indents,
     maybe_merge_across_intersentence_spaces,
     nextgen_compute_indents,
     prevgen_compute_indents,
@@ -39,7 +40,8 @@ from .pagexml import (DEFAULT_CHAR_WIDTH, INCH, DocState, LineObject,
 
 _NBS_RTRIM = " \n\r\t\x0b\x00\u00a0"
 _PHP_TRIM = " \t\n\r\x00\x0b"
-_FULL_TRIM = re.compile(r"^[ \t\n\r\f\x0b\x00]+|[ \t\n\r\f\x0b\x00]+$")
+_FULL_TRIM = " \t\n\r\f\x0b\x00"
+_NON_SPACE = re.compile("[^ ]")
 _BY_ALONE = re.compile(r"(^| )[Bb][Yy]$")
 _BY_PREFIX = re.compile(r"(^| )[Bb][Yy] ")
 
@@ -115,26 +117,48 @@ def classify_fly_page_objects(objects: List[ScriptObject]) -> List[ScriptObject]
     return objects
 
 
-def maybe_break_up_last_dialog(objects: List[ScriptObject]) -> None:
-    """The splitting loop is disabled in the reference (if (FALSE),
-    ParseText.php:2624): net effect is replacing the last Dialog with a
-    freshly-built copy (resetting num_lines / dual flags) with ranges
-    re-sliced from offset 0."""
-    if not objects:
-        return
-    last = objects[-1]
-    if last.type != "Dialog":
-        return
-    objects.pop()
-    text = last.content
-    if text == "":
-        return
-    colors = split_attribute(last.colors, 0, len(text))
-    attrs = split_attribute(last.attributes.get("textAttributes", {}), 0, len(text))
-    objects.append(ScriptObject(
-        "Dialog", text, last.page_num, last.given_page_num, colors,
-        last.get_font_size(), attrs, last.attributes.get("numberObject", {}),
-        pdf_path=True))
+def _expand_tabs(text: str) -> str:
+    """Each tab to the next multiple-of-8 column, counted from the
+    start of the string even across line breaks."""
+    while True:
+        i = text.find("\t")
+        if i == -1:
+            return text
+        text = text[:i] + "        "[i % 8:] + text[i + 1:]
+
+
+def _block_ranges(block: Block, kind: str, obj: ScriptObject):
+    """The block's ranges, and the alignment attribute: it too is read
+    only by the writers."""
+    if kind in FULL_WIDTH_LINE_TYPES:
+        alignment = get_alignment(block.x, block.width, 1.5 * INCH, 8.5 * INCH)
+        if alignment != "left":
+            obj.set_attribute("alignment", alignment)
+    elif kind == "Transition":
+        alignment = get_alignment(block.x, block.width, 1.5 * INCH, 8.5 * INCH)
+        if alignment != "right":
+            obj.set_attribute("alignment", alignment)
+    return block.ranges()
+
+
+def _dialog_ranges(block: Block, obj: ScriptObject):
+    """A Dialog's ranges re-sliced from offset 0 to its content length.
+
+    The reference's maybe_break_up_last_dialog has its splitting loop
+    disabled (if (FALSE), ParseText.php:2624), so its net effect is to
+    replace each new Dialog with a fresh copy: num_lines and the dual
+    flags reset, an empty one dropped, and the ranges re-sliced here."""
+    colors, attrs = block.ranges()
+    n = len(obj.content)
+    return split_attribute(colors, 0, n), split_attribute(attrs, 0, n)
+
+
+def _merged_ranges(prev: ScriptObject, nxt: ScriptObject, offset: int,
+                   obj: ScriptObject):
+    return (prev.merged_ranges(prev.colors, nxt.colors, offset),
+            prev.merged_ranges(prev.attributes.get("textAttributes", {}),
+                               nxt.attributes.get("textAttributes", {}),
+                               offset))
 
 
 class TextParser:
@@ -169,58 +193,49 @@ class TextParser:
 
         # --- normalize each line -------------------------------------
         for lo in line_objects:
-            text = lo.text.rstrip(_NBS_RTRIM + " ")
-            while True:
-                i = text.find("\t")
-                if i == -1:
-                    break
-                prefix = text[:i]
-                tabstop = "        "[len(prefix) % 8:]
-                text = prefix + tabstop + text[i + 1:]
-            text = white_out(text)
-            lo.text = _FULL_TRIM.sub("", text)
+            text = lo.text
+            if text:
+                text = text.rstrip(_NBS_RTRIM)
+                if "\t" in text:
+                    text = _expand_tabs(text)
+                lo.text = white_out(text).strip(_FULL_TRIM)
 
         # --- split into block pieces ---------------------------------
+        # on runs of 12+ spaces; only the length of the reference's
+        # $page_text is ever read
         block_pieces: List[BlockPiece] = []
-        page_text = ""
+        page_text_len = 0
         num_lines_with_text = 0
         for lx, lo in enumerate(line_objects):
-            i = 0
             text = lo.text
-            added_block = False
             n = len(text)
-            while i != n and text[i] == " ":
-                i += 1
-            while i != n:
+            i = n - len(text.lstrip(" "))
+            if i == n:
+                block_pieces.append(BlockPiece(
+                    "", lo.x + i * 11, lx, 0, lo.line_colors,
+                    lo.line_font_size, lo.line_text_attributes,
+                    lo.line_number_object))
+                continue
+            while True:
                 end = text.find(_TWELVE_SPACES, i)
                 if end == -1:
                     end = n
-                preceding = text[:i]
                 s = text[i:end]
-                page_text += s + "\n"
-                trim_x = len(preceding) * DEFAULT_CHAR_WIDTH
+                page_text_len += len(s) + 1
+                trim_x = i * DEFAULT_CHAR_WIDTH
                 block_pieces.append(BlockPiece(
                     s, lo.x + trim_x, lx, lo.width - trim_x, lo.line_colors,
                     lo.line_font_size, lo.line_text_attributes,
                     lo.line_number_object))
                 num_lines_with_text += 1
-                added_block = True
-                i = end
-                if i < n:
-                    i += len(_TWELVE_SPACES)
-                    if i > n:
-                        i = n
-                while i != n and text[i] == " ":
-                    i += 1
-            if not added_block:
-                block_pieces.append(BlockPiece(
-                    "", lo.x + i * 11, lx, 0, lo.line_colors,
-                    lo.line_font_size, lo.line_text_attributes,
-                    lo.line_number_object))
+                m = _NON_SPACE.search(text, end)
+                if m is None:
+                    break
+                i = m.start()
 
         # --- title page? ---------------------------------------------
         if (look_for_fly_page and not self.objects
-                and num_lines_with_text < 30 and len(page_text) < 300):
+                and num_lines_with_text < 30 and page_text_len < 300):
             objects: List[ScriptObject] = []
             for piece in block_pieces:
                 text = piece.text.strip(_PHP_TRIM)
@@ -247,43 +262,51 @@ class TextParser:
         # side-effecting SERIES_TIMER evaluation, so pre-bucketing the
         # window by y+height is semantics-preserving and skips the
         # dead calls (most of the scan on real pages).
+        # A blank piece never combines (should_combine wants text) and
+        # a blank block never takes a piece, so neither is looked up.
         blocks: List[Block] = []
         by_y_end: Dict[int, List[int]] = {}
+        timer = self._timer
         for piece in block_pieces:
-            if looks_like_slugline(piece.text):
-                self._timer.value = 0
-                if looks_like_series_or_montage_slugline(piece.text):
-                    self._timer.value = 20
-            done = False
-            window_start = max(0, len(blocks) - 20)
-            for ax in by_y_end.get(piece.y, ()):
-                if ax < window_start:
-                    continue
-                if blocks[ax].should_combine(piece, self._timer):
+            text = piece.text
+            if text:
+                if looks_like_slugline(text):
+                    timer.value = 0
+                    if looks_like_series_or_montage_slugline(text):
+                        timer.value = 20
+                window_start = len(blocks) - 20
+                for ax in by_y_end.get(piece.y, ()):
+                    if ax < window_start:
+                        continue
                     block = blocks[ax]
-                    by_y_end[block.y + block.height].remove(ax)
-                    block.combine(piece)
-                    by_y_end.setdefault(block.y + block.height, []).append(ax)
-                    by_y_end[block.y + block.height].sort()
-                    done = True
-                    break
-            if not done:
+                    if block.should_combine(piece, timer):
+                        by_y_end[block.y + block.height].remove(ax)
+                        block.combine(piece)
+                        ends = by_y_end.setdefault(block.y + block.height, [])
+                        ends.append(ax)
+                        ends.sort()
+                        break
+                else:
+                    by_y_end.setdefault(piece.y + 1, []).append(len(blocks))
+                    blocks.append(Block(piece))
+            else:
                 blocks.append(Block(piece))
-                block = blocks[-1]
-                by_y_end.setdefault(block.y + block.height, []).append(
-                    len(blocks) - 1)
 
         maybe_merge_across_intersentence_spaces(blocks)
         self._snap("before_classify", blocks)
 
         # --- classify based on content -------------------------------
         for bx, block in enumerate(blocks):
+            if block.height == 1 and block.lines[0] == "":
+                block.kind = "Text"  # blank
+                continue
             prev_kind = blocks[bx - 1].kind if bx > 0 else last_page_block_kind
             if prev_kind == "Page Number":
                 prev_kind = blocks[bx - 2].kind if bx > 1 else last_page_block_kind
             block.classify_based_on_content(prev_kind, bx)
         self._snap("after_classify", blocks)
 
+        # --- likely indent per kind ----------------------------------
         likely_indent_for = nextgen_compute_indents(blocks)
         if likely_indent_for is False:
             likely_indent_for = prevgen_compute_indents(blocks)
@@ -296,33 +319,28 @@ class TextParser:
                 del likely_indent_for["Slugline"]
 
         # --- reclassify using indents --------------------------------
-        common_kinds = ("Character", "Dialog", "Slugline", "Action", "Transition")
+        indents = [(v, likely_indent_for[v]) for v in
+                   ("Character", "Dialog", "Slugline", "Action", "Transition")
+                   if v in likely_indent_for]
         for ax, block in enumerate(blocks):
-            maybes = []
-            for v in common_kinds:
-                if v not in likely_indent_for:
-                    continue
-                if abs(block.x - likely_indent_for[v]) <= 3:
-                    maybes.append(v)
-            block.maybes = maybes
             if block.classification_is_unsure:
-                block.reclassify_using_indent(maybes)
+                block.reclassify_using_indent(
+                    [v for v, x in indents if abs(block.x - x) <= 3])
             if (block.classification_is_unsure
+                    and (block.x > 600
+                         or (block.x > 400 and block.x + block.width > 700))
                     and block.is_uppercase_single_line()):
-                if block.x > 600 or (block.x > 400 and block.x + block.width > 700):
-                    block.kind = "Transition"
-                    block.classification_is_unsure = True
-            if (block.is_transition_follower() and ax > 20
-                    and blocks[ax - 1].classification_is_unsure
-                    and blocks[ax - 1].is_uppercase_single_line()):
+                block.kind = "Transition"
+            if (ax > 20 and blocks[ax - 1].classification_is_unsure
+                    and blocks[ax - 1].is_uppercase_single_line()
+                    and block.is_transition_follower()):
                 blocks[ax - 1].kind = "Transition"
 
         self._snap("after_reclassify_indent", blocks)
 
         # --- Unknown at modal indent → Slugline/Action ---------------
-        likely2: Dict[str, object] = {}
-        for v in ("Character", "Dialog", "Slugline", "Action", "Unknown"):
-            likely2[v] = get_likely_indent_for(blocks, v)
+        likely2 = get_likely_indents(
+            blocks, ("Character", "Dialog", "Slugline", "Action", "Unknown"))
         if (likely2["Action"] is False and likely2["Slugline"] is False
                 and likely2["Character"] is not False
                 and likely2["Dialog"] is not False
@@ -486,7 +504,12 @@ class TextParser:
         self._snap("after_blank_removal", blocks)
 
         # --- blocks → ScriptObjects ----------------------------------
+        # Each object gets its text from one join; its colour and
+        # attribute ranges and its alignment stay a thunk over the
+        # block until a writer reads them.
         objects: List[ScriptObject] = []
+        num_pages = self.num_pages
+        given_page_num = self.given_page_num
         for block in blocks:
             kind = block.kind
             if kind == "Horizontal Rule":
@@ -494,49 +517,39 @@ class TextParser:
             if kind == "Contact Info":
                 for x, line in enumerate(block.lines):
                     objects.append(ScriptObject(
-                        "Text", reduce_spaces(line), self.num_pages,
-                        self.given_page_num, block.colors[x], block.font_size,
+                        "Text", line, num_pages, given_page_num,
+                        block.colors[x], block.font_size,
                         block.text_attributes[x], block.number_object,
                         pdf_path=True))
+            elif kind == "Dialog":
+                o = ScriptObject(kind, block.text(), num_pages,
+                                 given_page_num, None, block.font_size, None,
+                                 block.number_object, pdf_path=True,
+                                 ranges=partial(_dialog_ranges, block))
+                if o.content != "":
+                    objects.append(o)
             else:
-                bv = block.get_text_and_colors()
-                o = ScriptObject(kind, reduce_spaces(bv["text"]),
-                                 self.num_pages, self.given_page_num,
-                                 bv["colors"], block.font_size,
-                                 bv["textAttributes"], block.number_object,
-                                 pdf_path=True)
+                o = ScriptObject(kind, block.text(), num_pages,
+                                 given_page_num, None, block.font_size, None,
+                                 block.number_object, pdf_path=True,
+                                 ranges=partial(_block_ranges, block, kind))
                 o.num_lines = block.height
                 o.is_dual_line = block.is_dual_line
                 o.has_dual_line = block.has_dual_line
-                if kind in FULL_WIDTH_LINE_TYPES:
-                    alignment = get_alignment(block.x, block.width,
-                                              1.5 * INCH, 8.5 * INCH)
-                    if alignment != "left":
-                        o.set_attribute("alignment", alignment)
-                elif kind == "Transition":
-                    alignment = get_alignment(block.x, block.width,
-                                              1.5 * INCH, 8.5 * INCH)
-                    if alignment != "right":
-                        o.set_attribute("alignment", alignment)
                 objects.append(o)
-                maybe_break_up_last_dialog(objects)
 
         # --- cross-page Dialog merge ---------------------------------
         if (self.objects and objects and self.objects[-1].type == "Dialog"
                 and objects[0].type == "Dialog"):
             prev = self.objects[-1]
             nxt = objects[0]
-            new_font = max(prev.get_font_size(), nxt.get_font_size())
-            merged_colors = prev.merged_ranges(
-                prev.colors, nxt.colors, len(prev.content) + 1)
-            merged_attrs = prev.merged_ranges(
-                prev.attributes.get("textAttributes", {}),
-                nxt.attributes.get("textAttributes", {}),
-                len(prev.content) + 1)
             self.objects[-1] = ScriptObject(
-                "Dialog", prev.content + " " + nxt.content, self.num_pages,
-                self.given_page_num, merged_colors, new_font, merged_attrs,
-                prev.attributes.get("numberObject", {}), pdf_path=True)
+                "Dialog", prev.content + " " + nxt.content, num_pages,
+                given_page_num, None,
+                max(prev.get_font_size(), nxt.get_font_size()), None,
+                prev.get_number_object(), pdf_path=True,
+                ranges=partial(_merged_ranges, prev, nxt,
+                               len(prev.content) + 1))
             objects = objects[1:]
         self.objects.extend(objects)
 

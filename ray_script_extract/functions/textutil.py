@@ -17,6 +17,7 @@ _BLANK_RUN = re.compile(r"[ \t]+")
 _BLANK_NL_RUN = re.compile(r"[ \t\r\n]+")
 # compress_spaces uses \s+ but only on the PDF path (Objects.php:3-10).
 _WS_RUN = re.compile(r"\s+")
+_SPACE_RUN = re.compile(" {2,}")
 
 # chr(15)..chr(30) are inline color markers (Objects.php:12-18).
 _COLOR_MARKS = re.compile("[" + "".join(chr(i) for i in range(15, 31)) + "]")
@@ -35,12 +36,20 @@ def collapse_blanks_and_newlines(s: str) -> str:
 
 
 def compress_spaces(s: str, pdf_path: bool) -> str:
-    """\\s+ -> ' ' on the PDF path only; identity elsewhere."""
-    return _WS_RUN.sub(" ", s) if pdf_path else s
+    """\\s+ -> ' ' on the PDF path only; identity elsewhere.
+
+    Every whitespace character but the ASCII space is unprintable, so a
+    printable string needs only its space runs collapsed."""
+    if not pdf_path:
+        return s
+    if s.isprintable():
+        return _SPACE_RUN.sub(" ", s) if "  " in s else s
+    return _WS_RUN.sub(" ", s)
 
 
 def strip_color_formatting(s: str) -> str:
-    return _COLOR_MARKS.sub("", s)
+    # the markers are control characters: a printable string has none
+    return s if s.isprintable() else _COLOR_MARKS.sub("", s)
 
 
 def strip_format_marks(s: str) -> str:

@@ -25,19 +25,27 @@ the pool.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import gc
+from typing import Dict, List, Tuple
 
+import numpy as np
 import pyarrow as pa
 
+from ..engine.objects import json_type_name
 from ..schema import SPAN_STRUCT
 from ..sources.shakespeare import parse_shakespeare_text
+from .sizebucket import _per_row_text_bytes
+
+# one output span: (kind, text, media_ref)
+Record = Tuple[str, str, str]
 
 
 class ExtractorActor:
     """Stateful batch extractor.  ``extract_batch`` keeps one per worker
     process (``ds.map_batches(extract_batch, batch_format="pyarrow",
-    batch_size=B, zero_copy_batch=True)``); ``extract_doc`` is the
-    per-document entry the resumable lineage job calls directly."""
+    batch_size=B, zero_copy_batch=True)``), and the resumable lineage
+    job calls it once per fragment; ``extract_doc`` is the per-document
+    step."""
 
     def __init__(self) -> None:
         # Warm state: importing the modules compiled every predicate
@@ -47,15 +55,11 @@ class ExtractorActor:
         self._pdf_raw_extract = pdfdoc.extract_pdf_raw_document_with_media
 
     # -- per-document extraction --------------------------------------
-    def extract_doc(self, doc_id: str, spans: List[Dict]) -> List[Dict]:
-        out: List[Dict] = []
-        off = 0
-
-        def emit(kind: str, text: str = "", media_ref: str = "") -> None:
-            nonlocal off
-            out.append({"kind": kind, "text": text,
-                        "media_ref": media_ref, "offset": off})
-            off += 1
+    def extract_doc(self, doc_id: str, spans: List[Dict]) -> List[Record]:
+        """One document's output spans, in order, as ``(kind, text,
+        media_ref)`` records; a span's ``offset`` is its position."""
+        out: List[Record] = []
+        emit = out.append
 
         # Group consecutive pdf_page_xml spans: they are pages of ONE
         # document and must run through a single sequential page fold.
@@ -63,8 +67,8 @@ class ExtractorActor:
 
         def flush_pages() -> None:
             if pending_pages:
-                for obj in self._pdf_extract(pending_pages):
-                    emit(obj.get_type_json(), obj.content)
+                out.extend([(json_type_name(obj.type), obj.content, "")
+                            for obj in self._pdf_extract(pending_pages)])
                 pending_pages.clear()
 
         for span in spans:
@@ -74,10 +78,10 @@ class ExtractorActor:
                 continue
             flush_pages()
             if kind == "html":
-                for rec_kind, text in parse_shakespeare_text(span["text"]):
-                    emit(rec_kind, text)
+                out.extend([(rec_kind, text, "") for rec_kind, text
+                            in parse_shakespeare_text(span["text"])])
             elif kind == "text":
-                emit("Text", span["text"])
+                emit(("Text", span["text"], ""))
             elif kind == "pdf_raw":
                 # interleave content-addressed image spans at their
                 # page position: each page's images emit after that
@@ -89,21 +93,20 @@ class ExtractorActor:
                     nonlocal cur_page
                     while cur_page <= min(page, len(page_media)):
                         for m in page_media[cur_page - 1]:
-                            emit("image",
-                                 text=f'{m["width"]}x{m["height"]}',
-                                 media_ref=m["ref"])
+                            emit(("image", f'{m["width"]}x{m["height"]}',
+                                  m["ref"]))
                         cur_page += 1
 
                 for obj in objs:
                     emit_media_through(obj.page_num - 1)
-                    emit(obj.get_type_json(), obj.content)
+                    emit((json_type_name(obj.type), obj.content, ""))
                 emit_media_through(len(page_media))
             elif kind in ("image", "media"):
-                emit(kind, media_ref=span["media_ref"])
+                emit((kind, "", span["media_ref"]))
             else:
                 # Unknown input kinds degrade to Text, mirroring the
                 # reference's closed-world coercion (Objects.php:44-47).
-                emit("Text", span.get("text", ""))
+                emit(("Text", span.get("text", ""), ""))
         flush_pages()
         return out
 
@@ -112,24 +115,56 @@ class ExtractorActor:
     MAX_DOC_BYTES = 20 * 1024 * 1024
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """One batch of documents → ``(doc_id, spans, n_spans)``.
+
+        Every document's records go into per-batch column lists, and
+        the span ``ListArray`` is built from them once.  A document
+        over ``MAX_DOC_BYTES`` (by the ``doc_bytes`` column when an
+        upstream stage added it) gets no spans."""
         doc_ids = batch.column("doc_id").to_pylist()
-        spans_col = batch.column("spans").to_pylist()
-        sizes = (batch.column("doc_bytes").to_pylist()
-                 if "doc_bytes" in batch.column_names
-                 else [None] * len(doc_ids))
-        out_spans: List[List[Dict]] = []
-        n_spans: List[int] = []
-        for doc_id, spans, size in zip(doc_ids, spans_col, sizes):
-            if size is not None and size > self.MAX_DOC_BYTES:
-                extracted: List[Dict] = []  # rejected, like the 413 path
-            else:
-                extracted = self.extract_doc(doc_id, spans or [])
-            out_spans.append(extracted)
-            n_spans.append(len(extracted))
+        spans_in = batch.column("spans").combine_chunks()
+        if "doc_bytes" in batch.column_names:
+            sizes = batch.column("doc_bytes").to_pylist()
+        elif len(batch):
+            sizes = _per_row_text_bytes(spans_in).tolist()
+        else:
+            sizes = []
+        kinds: List[str] = []
+        texts: List[str] = []
+        refs: List[str] = []
+        offsets: List[int] = []
+        ends = [0]
+        # A document's engine state lives until its records are out, long
+        # enough to survive young collections and set off full ones, each
+        # a walk of the whole worker heap (about 65 ms in a Ray worker,
+        # once per 300-doc job).  The collector waits out the batch;
+        # reference counting still frees each document's state.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for doc_id, spans, size in zip(doc_ids, spans_in.to_pylist(),
+                                           sizes):
+                if size is None or size <= self.MAX_DOC_BYTES:
+                    records = self.extract_doc(doc_id, spans or [])
+                    if records:
+                        k, t, r = zip(*records)
+                        kinds += k
+                        texts += t
+                        refs += r
+                        offsets += range(len(records))
+                ends.append(len(kinds))
+        finally:
+            if collecting:
+                gc.enable()
+        columns = [pa.array(kinds, pa.string()), pa.array(texts, pa.string()),
+                   pa.array(refs, pa.string()), pa.array(offsets, pa.int32())]
+        spans_out = pa.ListArray.from_arrays(
+            pa.array(ends, pa.int32()),
+            pa.StructArray.from_arrays(columns, fields=list(SPAN_STRUCT)))
         return pa.table({
             "doc_id": pa.array(doc_ids, pa.string()),
-            "spans": pa.array(out_spans, pa.list_(SPAN_STRUCT)),
-            "n_spans": pa.array(n_spans, pa.int64()),
+            "spans": spans_out,
+            "n_spans": pa.array(np.diff(ends), pa.int64()),
         })
 
 
@@ -157,7 +192,6 @@ def explode_spans(batch: pa.Table) -> pa.Table:
     from the nested doc table to relational analytics (groupby etc.).
     Pure Arrow (no Python loop): list offsets drive the doc_id repeat.
     """
-    import numpy as np
     import pyarrow.compute as pc
 
     spans = batch.column("spans").combine_chunks()

@@ -105,106 +105,76 @@ def write_partition(output_dir: str, key: str, table: pa.Table,
     return record
 
 
-def run_resumable_extract_dir(input_dir: str, output_dir: str) -> Dict:
-    """Resumable extraction over a REAL corpus directory (one parquet
-    shard file = one output partition = one lineage record).  The
-    fragment descriptor is the input file path, so a resume after a
-    crash skips exactly the shards whose output re-verifies — the
-    production shape of the `ray job submit` entrypoint for user data
-    (the synthetic variant below keeps the descriptor-only shape the
-    tests soak)."""
-    import glob
+def load_fragment(descriptor: str) -> pa.Table:
+    """The input table a fragment descriptor names: ``file:<path>`` is
+    one parquet shard; ``synthetic:seed=S:start=A:count=N`` is
+    ``make_doc`` over docs ``A..A+N-1`` of seed ``S``, in ``DOC_SCHEMA``."""
+    source, _, rest = descriptor.partition(":")
+    if source == "file":
+        return pq.read_table(rest)
+    from ..corpus import make_doc, size_class_for
+    from ..schema import DOC_SCHEMA
 
+    params = dict(kv.split("=") for kv in rest.split(":"))
+    seed, start = int(params["seed"]), int(params["start"])
+    return pa.Table.from_pylist(
+        [make_doc(seed, i, size_class_for(i))
+         for i in range(start, start + int(params["count"]))],
+        schema=DOC_SCHEMA)
+
+
+def _run_resumable(descriptors: List[str], output_dir: str) -> Dict:
+    """One task per fragment not yet done: load, extract through the
+    stage (``extract_batch``, with its size guard), write the partition
+    and its lineage record.  Safe to kill and re-run: finished
+    partitions are skipped exactly."""
     import ray
 
-    files = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
     done = completed_partitions(output_dir)
-    todo = [f for f in files if fragment_key(f"file:{f}") not in done]
-    skipped = len(files) - len(todo)
+    todo = [d for d in descriptors if fragment_key(d) not in done]
 
     @ray.remote(num_cpus=1)
-    def process_file(path: str) -> Dict:
+    def process(descriptor: str) -> Dict:
         from ..stages.extract import extract_batch
 
         t0 = time.time()
-        table = pq.read_table(path)
-        out = extract_batch(table)
+        out = extract_batch(load_fragment(descriptor))
         extract_sec = time.time() - t0
         t1 = time.time()
         return write_partition(
-            output_dir, fragment_key(f"file:{path}"), out, f"file:{path}",
+            output_dir, fragment_key(descriptor), out, descriptor,
             metrics={"rows": out.num_rows,
                      "extract_sec": round(extract_sec, 4),
                      "write_sec": round(time.time() - t1, 4)})
 
     t0 = time.time()
-    new_records = ray.get([process_file.remote(f) for f in todo])
+    new_records = ray.get([process.remote(d) for d in todo])
     return {
-        "partitions_total": len(files),
-        "partitions_skipped": skipped,
+        "partitions_total": len(descriptors),
+        "partitions_skipped": len(descriptors) - len(todo),
         "partitions_written": len(new_records),
         "rows_written": sum(r["row_count"] for r in new_records),
         "wall_sec": round(time.time() - t0, 3),
     }
+
+
+def run_resumable_extract_dir(input_dir: str, output_dir: str) -> Dict:
+    """Resumable extraction over a REAL corpus directory (one parquet
+    shard file = one output partition = one lineage record).  The
+    fragment descriptor is the input file path, so a resume after a
+    crash skips exactly the shards whose output re-verifies — the
+    production shape of the `ray job submit` entrypoint for user data."""
+    import glob
+
+    files = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
+    return _run_resumable([f"file:{f}" for f in files], output_dir)
 
 
 def run_resumable_extract(num_docs: int, output_dir: str, *, seed: int = 42,
                           docs_per_shard: int = 100) -> Dict:
-    """Resumable flagship run over the synthetic corpus.
-
-    Shard descriptors → (skip completed) → per-shard task: generate →
-    extract → write partition + lineage.  Returns summary metrics.
-    Safe to kill and re-run: finished partitions are skipped exactly.
-    """
-    import ray
-
-    from ..corpus import make_doc, size_class_for
-    from ..schema import DOC_SCHEMA, SPAN_STRUCT
-    from ..stages.extract import ExtractorActor
-
-    shards = []
-    for start in range(0, num_docs, docs_per_shard):
-        descriptor = (f"synthetic:seed={seed}:start={start}"
-                      f":count={min(docs_per_shard, num_docs - start)}")
-        shards.append({"descriptor": descriptor, "start": start,
-                       "count": min(docs_per_shard, num_docs - start),
-                       "seed": seed})
-
-    done = completed_partitions(output_dir)
-    todo = [s for s in shards if fragment_key(s["descriptor"]) not in done]
-    skipped = len(shards) - len(todo)
-
-    @ray.remote(num_cpus=1)
-    def process_shard(shard: Dict) -> Dict:
-        t0 = time.time()
-        extractor = ExtractorActor()
-        rows = []
-        for i in range(shard["start"], shard["start"] + shard["count"]):
-            doc = make_doc(shard["seed"], i, size_class_for(i))
-            spans = extractor.extract_doc(doc["doc_id"], doc["spans"])
-            rows.append({"doc_id": doc["doc_id"], "spans": spans,
-                         "n_spans": len(spans)})
-        gen_extract_sec = time.time() - t0
-        table = pa.Table.from_pylist(rows, schema=pa.schema([
-            pa.field("doc_id", pa.string()),
-            pa.field("spans", pa.list_(SPAN_STRUCT)),
-            pa.field("n_spans", pa.int64()),
-        ]))
-        t1 = time.time()
-        record = write_partition(
-            output_dir, fragment_key(shard["descriptor"]), table,
-            shard["descriptor"],
-            metrics={"rows": table.num_rows,
-                     "extract_sec": round(gen_extract_sec, 4),
-                     "write_sec": round(time.time() - t1, 4)})
-        return record
-
-    t0 = time.time()
-    new_records = ray.get([process_shard.remote(s) for s in todo])
-    return {
-        "partitions_total": len(shards),
-        "partitions_skipped": skipped,
-        "partitions_written": len(new_records),
-        "rows_written": sum(r["row_count"] for r in new_records),
-        "wall_sec": round(time.time() - t0, 3),
-    }
+    """Resumable flagship run over the synthetic corpus: one fragment
+    per ``docs_per_shard`` docs, generated inside its task."""
+    return _run_resumable(
+        [f"synthetic:seed={seed}:start={start}"
+         f":count={min(docs_per_shard, num_docs - start)}"
+         for start in range(0, num_docs, docs_per_shard)], output_dir)

@@ -3,8 +3,9 @@
 ``doc_bytes`` is the UTF-8 byte total of a document's span texts,
 computed vectorized (Arrow buffer arithmetic, no Python loop).  The
 extract stage rejects a document above ``ExtractorActor.MAX_DOC_BYTES``
-by it, as the reference rejects an oversized upload.  Heavy-document
-skew is left to the pipeline's small batch size.
+by it, as the reference rejects an oversized upload: it reads the
+``doc_bytes`` column that ``add_size_stats`` appends when one is
+there, and computes the same sum itself when it is not.
 """
 
 from __future__ import annotations

@@ -238,10 +238,9 @@ def test_ccitt_pdf_spans_and_near_dup_pair(ray_session):
     spans = ExtractorActor().extract_doc(
         "d1", [{"kind": "pdf_raw",
                 "text": base64.b64encode(pdf).decode()}])
-    img_spans = [s for s in spans if s["kind"] == "image"]
     # the media ref hashes the WRAPPED payload — a store fetch by this
     # ref hands back bytes decode_image can decode standalone
-    assert {s["media_ref"] for s in img_spans} == {
+    assert {ref for kind, _, ref in spans if kind == "image"} == {
         f"img://sha256/{hashlib.sha256(wrapped['clean']).hexdigest()}",
         f"img://sha256/{hashlib.sha256(wrapped['noisy']).hexdigest()}"}
 

@@ -187,8 +187,8 @@ def test_extract_doc_builds_no_script_objects(monkeypatch):
     out = extractor.extract_doc(
         "d", [{"kind": "html", "text": html, "media_ref": ""}])
     monkeypatch.undo()
-    assert [(s["kind"], s["text"]) for s in out] == _reference(html)
-    assert [s["offset"] for s in out] == list(range(len(out)))
+    assert [(kind, text) for kind, text, _ in out] == _reference(html)
+    assert {ref for _, _, ref in out} == {""}
 
 
 @pytest.mark.parametrize("fmt", ["fountain", "json"])

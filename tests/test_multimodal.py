@@ -479,8 +479,7 @@ def test_jpeg_reencodes_band_as_near_dups():
     spans = ExtractorActor().extract_doc(
         "d1", [{"kind": "pdf_raw",
                 "text": base64.b64encode(pdf).decode()}])
-    img_spans = [s for s in spans if s["kind"] == "image"]
-    assert {s["media_ref"] for s in img_spans} == {
+    assert {ref for kind, _, ref in spans if kind == "image"} == {
         f"img://sha256/{hashlib.sha256(v90).hexdigest()}",
         f"img://sha256/{hashlib.sha256(v55).hexdigest()}"}
 

@@ -246,14 +246,15 @@ def test_pdf_image_xobject_yields_interleaved_media_span():
     spans = ExtractorActor().extract_doc(
         "d1", [{"kind": "pdf_raw",
                 "text": base64.b64encode(raw).decode()}])
-    img_spans = [s for s in spans if s["kind"] == "image"]
-    assert len(img_spans) == 1
-    assert img_spans[0]["media_ref"] == f"img://sha256/{digest}"
-    assert img_spans[0]["text"] == "32x16"
+    img_offsets = [i for i, (kind, _, _) in enumerate(spans)
+                   if kind == "image"]
+    assert len(img_offsets) == 1
+    assert spans[img_offsets[0]] == ("image", "32x16",
+                                     f"img://sha256/{digest}")
     # page-1 image sits after page-1 text and before page-2 text
-    page2_offset = next(s["offset"] for s in spans
-                        if s["text"] == "EXT. STREET - DAY")
-    assert img_spans[0]["offset"] < page2_offset
+    page2_offset = next(i for i, (_, text, _) in enumerate(spans)
+                        if text == "EXT. STREET - DAY")
+    assert img_offsets[0] < page2_offset
 
 
 def test_aes_fips197_vector():

@@ -51,12 +51,11 @@ def test_hamlet_span_projection():
     html, _ = _load_pair(path)
     spans = ExtractorActor().extract_doc(
         "hamlet", [{"kind": "html", "text": html, "media_ref": ""}])
-    assert [s["offset"] for s in spans] == list(range(len(spans)))  # dense
     body = spans[49:]  # 49-line synthesized title page
     assert len(body) == 5389
     from collections import Counter
 
-    counts = Counter(s["kind"] for s in body)
+    counts = Counter(kind for kind, _, _ in body)
     assert counts["Dialogue"] == 4003
     assert counts["Character"] == 1138
     assert counts["Action"] == 181
