@@ -31,8 +31,14 @@ def reduce_spaces(s: str) -> str:
 
 
 def collapse_blanks_and_newlines(s: str) -> str:
-    """trim + collapse [blank\\r\\n]+ to one space (shakespeare reader)."""
-    return _BLANK_NL_RUN.sub(" ", s.strip())
+    """trim + collapse [blank\\r\\n]+ to one space (shakespeare reader).
+
+    Without a tab, CR, LF or double space the trimmed string has no run
+    to collapse."""
+    s = s.strip()
+    if "  " in s or "\n" in s or "\t" in s or "\r" in s:
+        return _BLANK_NL_RUN.sub(" ", s)
+    return s
 
 
 def compress_spaces(s: str, pdf_path: bool) -> str:

@@ -185,7 +185,7 @@ def _load_evp():
             lib.EVP_CIPHER_CTX_set_padding.argtypes = [ctypes.c_void_p,
                                                        ctypes.c_int]
             lib.EVP_CipherUpdate.argtypes = [
-                ctypes.c_void_p, ctypes.c_char_p,
+                ctypes.c_void_p, ctypes.c_void_p,
                 ctypes.POINTER(ctypes.c_int), ctypes.c_char_p,
                 ctypes.c_int]
             _EVP = (lib, ctypes)
@@ -212,12 +212,15 @@ def _evp_cbc(key: bytes, iv: bytes, data: bytes,
                                      1 if encrypt else 0):
             return None
         lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
-        out = ctypes.create_string_buffer(len(data) + 16)
+        # a bytearray, not create_string_buffer: that makes a new
+        # ctypes array type per length, and every type is cyclic garbage
+        out = bytearray(len(data) + 16)
         n = ctypes.c_int(0)
-        if not lib.EVP_CipherUpdate(ctx, out, ctypes.byref(n), data,
-                                    len(data)):
+        if not lib.EVP_CipherUpdate(
+                ctx, ctypes.addressof(ctypes.c_char.from_buffer(out)),
+                ctypes.byref(n), data, len(data)):
             return None
-        return out.raw[:n.value]
+        return bytes(out[:n.value])
     finally:
         lib.EVP_CIPHER_CTX_free(ctx)
 

@@ -630,14 +630,17 @@ class PdfDocument:
             elif isinstance(obj, Stream):
                 walk_strings(obj.dict, num, gen)
 
-        for num, obj in self.objects.items():
-            if num == enc_num:
-                continue
-            gen = self._gens.get(num, 0)
-            walk_strings(obj, num, gen)
-            if isinstance(obj, Stream) \
-                    and obj.dict.get("/Type") != "/XRef":
-                obj.data = dec.decrypt(obj.data, num, gen)
+        try:
+            for num, obj in self.objects.items():
+                if num == enc_num:
+                    continue
+                gen = self._gens.get(num, 0)
+                walk_strings(obj, num, gen)
+                if isinstance(obj, Stream) \
+                        and obj.dict.get("/Type") != "/XRef":
+                    obj.data = dec.decrypt(obj.data, num, gen)
+        finally:
+            del walk_strings  # the recursive closure's cell refers to itself
 
     def _expand_object_streams(self) -> None:
         """Inflate every /Type /ObjStm container into the object map —
@@ -777,7 +780,10 @@ class PdfDocument:
             for kid in (self.resolve(node.get("/Kids")) or []):
                 walk(self.resolve(kid), inh)
 
-        walk(root, {})
+        try:
+            walk(root, {})
+        finally:
+            del walk  # the recursive closure's cell refers to itself
         return out
 
 
@@ -1643,7 +1649,12 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                 if comps:
                     fill_color = _components_to_hex(comps)
 
-    exec_content(content, page_fonts, page_xobjects, 0)
+    try:
+        exec_content(content, page_fonts, page_xobjects, 0)
+    finally:
+        # the recursive closure holds its own cell, and through the
+        # cells every run, font and the document: free them now
+        del exec_content
     return runs, media, page_w, page_h
 
 

@@ -19,10 +19,15 @@ Behavioral spec re-derived from the reference's shakespeare reader
   with "To " or equals "Aside" (→ Paren);
 * ``<h3>`` → Act when prefixed "ACT" else Slugline.
 
-``parse_shakespeare_text`` is the production reader: one pass over the
-``htmldom`` tokenizer's matches that keeps only a stack of open tag
-names (with the tree builder's implicit-close rules), collects text
-only under the elements the walk reads, and yields the play as
+``parse_shakespeare_text`` is the production reader: one
+``htmldom._TOKEN.split`` of the document, read five fields per tag
+(end name, start name, attributes, self-close mark, text after), so
+no ``re.Match`` is built and no text is sliced.  The pass keeps only a
+stack of open tag names (with the tree builder's implicit-close
+rules), closes a matching top element inline, skips a void or
+self-closed tag the walk does not read once its implicit closes have
+run, collects text only under the elements the walk reads (joined and
+collapsed when the element closes), and yields the play as
 ``(JSON kind, text)`` records.  ``parse_shakespeare_dom`` is the walk
 above over the full ``parse_html`` tree, kept as its test-side
 reference (``tests/test_html_play_records.py``).
@@ -113,33 +118,35 @@ def parse_shakespeare_text(html_text: str) -> List[Record]:
     title = ""
     seen_head = seen_body = False
 
+    def close(role: int) -> None:
+        """Route the text of a collector that just closed."""
+        nonlocal title
+        content = collapse_blanks_and_newlines("".join(chunks[starts.pop():]))
+        if not starts:
+            chunks.clear()
+        if role == _TITLE:
+            title = content[: len(content) - ENTIRE_PLAY_SUFFIX_LEN]
+        else:
+            _append_records(records, role, content)
+
     def unwind(depth: int) -> None:
         """Close the open elements above ``depth``, innermost first."""
-        nonlocal title
         while len(stack) > depth:
             stack.pop()
             role = roles.pop()
             if role >= _TITLE:
-                content = collapse_blanks_and_newlines(
-                    "".join(chunks[starts.pop():]))
-                if not starts:
-                    chunks.clear()
-                if role == _TITLE:
-                    title = content[: len(content) - ENTIRE_PLAY_SUFFIX_LEN]
-                else:
-                    _append_records(records, role, content)
+                close(role)
 
-    pos = 0
-    for m in _TOKEN.finditer(html_text):
-        begin, end = m.span()
-        if starts and begin > pos:
-            data = html_text[pos:begin]
-            chunks.append(_html.unescape(data) if "&" in data else data)
-        pos = end
-        end_name, start_name, attr_raw, self_close = m.groups()
+    # split yields the text before the first tag, then per tag its four
+    # groups and the text after it; no collector is open before a tag
+    fields = iter(_TOKEN.split(html_text))
+    next(fields)
+    for end_name, start_name, attr_raw, self_close, text in zip(
+            fields, fields, fields, fields, fields):
         if start_name is not None:
             tag = start_name.lower()
-            while len(stack) > 1 and tag in _CLOSED_BY.get(stack[-1], ()):
+            # the root "#document" has no _CLOSED_BY entry
+            while tag in _CLOSED_BY.get(stack[-1], ()):
                 unwind(len(stack) - 1)
             parent = roles[-1]
             role = _CHILD_ROLE.get((parent, tag), 0) if parent else 0
@@ -150,24 +157,30 @@ def parse_shakespeare_text(html_text: str) -> List[Record]:
                 role, seen_head = _HEAD, True
             elif tag == "body" and not seen_body:
                 role, seen_body = _BODY, True
-            stack.append(tag)
-            roles.append(role)
-            if role >= _TITLE:
-                starts.append(len(chunks))
             if self_close or tag in VOID_ELEMENTS:
-                unwind(len(stack) - 1)  # closed as soon as opened
+                if role >= _TITLE:  # closed as soon as opened, with no text
+                    starts.append(len(chunks))
+                    close(role)
+            else:
+                stack.append(tag)
+                roles.append(role)
+                if role >= _TITLE:
+                    starts.append(len(chunks))
         elif end_name is not None:
             tag = end_name.lower()
-            if tag in VOID_ELEMENTS:
-                continue
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i] == tag:
-                    unwind(i)
-                    break
+            if tag == stack[-1]:  # the common case: close the top inline
+                stack.pop()
+                role = roles.pop()
+                if role >= _TITLE:
+                    close(role)
+            elif tag not in VOID_ELEMENTS:
+                for i in range(len(stack) - 1, 0, -1):
+                    if stack[i] == tag:
+                        unwind(i)
+                        break
         # comments/doctype/PI: dropped
-    if starts and pos < len(html_text):
-        data = html_text[pos:]
-        chunks.append(_html.unescape(data) if "&" in data else data)
+        if text and starts:
+            chunks.append(_html.unescape(text) if "&" in text else text)
     unwind(1)
 
     out = _TITLE_PAGE_BEFORE + [("Title", strip_color_formatting(title))]

@@ -80,14 +80,17 @@ def write_partition(output_dir: str, key: str, table: pa.Table,
                     descriptor: str, metrics: Optional[Dict] = None) -> Dict:
     """Write one partition + its lineage record atomically.  The data
     file is fsynced BEFORE the lineage record exists, so a crash can
-    never leave a valid _LINEAGE.json next to unsynced data."""
+    never leave a valid _LINEAGE.json next to unsynced data.  The
+    record's ``metrics`` gain ``write_sec``, the data write and fsync."""
     part_dir = os.path.join(output_dir, f"part-{key}")
     os.makedirs(part_dir, exist_ok=True)
     data_path = os.path.join(part_dir, "data.parquet")
     tmp_path = data_path + ".tmp"
+    t0 = time.perf_counter()
     pq.write_table(table, tmp_path)
     with open(tmp_path, "rb+") as f:
         os.fsync(f.fileno())
+    write_sec = time.perf_counter() - t0
     os.replace(tmp_path, data_path)
     record = {
         "fragment_key": key,
@@ -96,7 +99,7 @@ def write_partition(output_dir: str, key: str, table: pa.Table,
         "checksum": _file_sha256(data_path),
         "size_bytes": os.path.getsize(data_path),
         "written_unix": time.time(),
-        "metrics": metrics or {},
+        "metrics": {**(metrics or {}), "write_sec": round(write_sec, 4)},
     }
     lineage_tmp = os.path.join(part_dir, "_LINEAGE.json.tmp")
     with open(lineage_tmp, "w") as f:
@@ -140,12 +143,10 @@ def _run_resumable(descriptors: List[str], output_dir: str) -> Dict:
         t0 = time.time()
         out = extract_batch(load_fragment(descriptor))
         extract_sec = time.time() - t0
-        t1 = time.time()
         return write_partition(
             output_dir, fragment_key(descriptor), out, descriptor,
             metrics={"rows": out.num_rows,
-                     "extract_sec": round(extract_sec, 4),
-                     "write_sec": round(time.time() - t1, 4)})
+                     "extract_sec": round(extract_sec, 4)})
 
     t0 = time.time()
     new_records = ray.get([process.remote(d) for d in todo])

@@ -22,6 +22,10 @@ from hypothesis import strategies as st
 from ray_script_extract import cli
 from ray_script_extract.corpus import make_play_html
 from ray_script_extract.engine.objects import ScriptObject
+from ray_script_extract.functions.textutil import (
+    _BLANK_NL_RUN,
+    collapse_blanks_and_newlines,
+)
 from ray_script_extract.sources.shakespeare import (
     TITLE_PAGE_LINES,
     parse_shakespeare_dom,
@@ -172,6 +176,57 @@ def test_epilogue_and_asides():
     assert body == [("Scene", "EPILOGUE"), ("Parens", "(To him)"),
                     ("Parens", "(Aside)"), ("Action", "Exit"),
                     ("New Act", "ACT V"), ("Scene", "SCENE I")]
+
+
+# -- the one pass's shortcuts: void and self-closed tags, stray ends -----
+
+_HEAD_TITLE = "<head><title>Abc: Entire Play</title></head>"
+_EDGE_CASES = {
+    # a self-closed first head/body is still the one the walk reads
+    "self-closed head": "<head/>" + _HEAD_TITLE,
+    "self-closed body": "<body/><body><a name=speech1>X</a></body>",
+    "self-closed title":
+        "<head><title>Abc: Entire Play</title><title/></head>",
+    "self-closed h3": "<body><h3/><h3>ACT I</h3></body>",
+    "self-closed blockquote": "<body><blockquote/><a name=1>line</a></body>",
+    "self-closed speech":
+        "<body><a name=speech1/><a name=speech2>B</a></body>",
+    "self-closed p in blockquote":
+        "<body><blockquote><p/><p>To him</p></blockquote></body>",
+    # a self-closed tag still closes what it implicitly closes
+    "self-closed block closes p":
+        "<body><blockquote><p>Exit<div/> all</p><a name=1>x<a/>y</a>"
+        "</blockquote></body>",
+    "br in title": "<head><title>Ab<br>c<br/>d: Entire Play</title></head>",
+    "stray ends": "<body></br><a name=speech1>A</br></b>B</p></a>"
+                  "</blockquote><blockquote></h3><a name=1>C</td>D</a>"
+                  "</blockquote></i></body>",
+    "mixed case": "<HTML><HEAD><Title>Abc: Entire Play</TITLE></Head>"
+                  "<Body><A Name=speech1><B>KING</b></a><BlockQuote>"
+                  "<a NAME=1>[Aside] Hm</A><P>Exit</p></BLOCKQUOTE>"
+                  "<H3>ACT II</h3></BODY>",
+    "entities split by tags": "<head><title>A&am<b>p;B: Entire Play</title>"
+                              "</head><body><a name=speech1>&#4<i>9;</i>"
+                              "&lt;</a></body>",
+}
+
+
+@pytest.mark.parametrize("html", _EDGE_CASES.values(), ids=_EDGE_CASES)
+def test_reader_shortcuts_match_reference(html):
+    _assert_same(html)
+
+
+def test_self_closed_first_head_and_body_hide_later_ones():
+    assert _title("<head/>" + _HEAD_TITLE) == ("Title", "")
+    assert _both("<body/><body><a name=speech1>X</a></body>") == []
+    assert _both(_HEAD_TITLE + "<body><h3/><blockquote><p/></blockquote>"
+                 "</body>") == [("Scene", ""), ("Action", "")]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=" \t\r\n\x0b\x0c\x85\xa0\u2028\u3000ab\x10"))
+def test_collapse_shortcut_equals_the_regex_definition(s):
+    assert collapse_blanks_and_newlines(s) == _BLANK_NL_RUN.sub(" ", s.strip())
 
 
 # -- the extract stage and cli convert ----------------------------------

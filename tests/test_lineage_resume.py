@@ -128,3 +128,28 @@ def test_resumable_extract_dir_real_corpus(tmp_path):
         pq.read_table(os.path.join(out, p, "data.parquet")).num_rows
         for p in sorted(os.listdir(out)) if p.startswith("part-"))
     assert total == 60
+
+
+def test_write_sec_times_the_data_write(tmp_path, monkeypatch):
+    """``write_sec`` in a lineage record is the parquet write and fsync
+    of its partition, measured while they run."""
+    import time
+
+    import pyarrow as pa
+
+    from ray_script_extract.stages import lineage
+
+    write_table = pq.write_table
+
+    def slow_write_table(*args, **kwargs):
+        time.sleep(0.05)
+        return write_table(*args, **kwargs)
+
+    monkeypatch.setattr(lineage.pq, "write_table", slow_write_table)
+    out = str(tmp_path / "out")
+    record = lineage.write_partition(
+        out, "k", pa.table({"x": [1, 2]}), "file:x", metrics={"rows": 2})
+    assert record["metrics"]["rows"] == 2
+    assert record["metrics"]["write_sec"] >= 0.05
+    on_disk = json.load(open(os.path.join(out, "part-k", "_LINEAGE.json")))
+    assert on_disk["metrics"] == record["metrics"]
