@@ -146,8 +146,7 @@ def main() -> None:
     n_out = build_extract_pipeline(
         _rd2.read_parquet(pdf_dir,
                           override_num_blocks=max(NUM_CPUS,
-                                                  n_pdf // 200)),
-        batch_size=None).count()
+                                                  n_pdf // 200))).count()
     dt = time.time() - t
     timings["pdf_heavy_extract"] = round(dt, 3)
     timings["pdf_heavy_docs_per_sec"] = round(n_out / dt, 1)
@@ -219,7 +218,7 @@ def job():
     # cpus vs the default read split, measured)
     ds = ray.data.read_parquet({corpus_dir!r},
                                override_num_blocks={blocks})
-    return build_extract_pipeline(ds, batch_size=None).count()
+    return build_extract_pipeline(ds).count()
 
 # Warm the worker pool: process spawn + module import happens once per
 # cluster lifetime, for any job; the N-vs-4N criterion is about

@@ -14,7 +14,11 @@ line assembler in ``engine.pagexml`` consumes directly;
 Supported subset (matches FIXTURES.md §4):
 * object scan (robust to missing/odd xref: we scan ``N 0 obj``),
   classic dictionaries / arrays / names / numbers / strings
-  (literal + hex) / indirect refs / streams;
+  (literal + hex) / indirect refs / streams.  The scan steps from
+  object to object and resumes after each object's ``endobj``, so
+  ``N 0 obj`` or ``trailer`` text inside a stream body or a string
+  defines nothing (a body ends at its direct /Length when
+  ``endstream`` follows there, else at the first ``endstream``);
 * PDF 1.5+ compressed object streams: every ``/Type /ObjStm``
   container found by the scan is inflated and its packed objects
   added to the object map (objects from incremental-update direct
@@ -47,7 +51,10 @@ Supported subset (matches FIXTURES.md §4):
   lean on Tw/Tc) — with the text matrix tracked; fill-color operators
   rg / g / k / sc / scn (component-count heuristic for scn) feed the
   emitted ``<fontspec color>`` so Colors_List revision inference
-  (``ParseText.php:691-989``) fires from raw PDFs;
+  (``ParseText.php:691-989``) fires from raw PDFs.  Each content
+  stream is read from one ``_RE_CS_OP.split`` (``_cs_fields``); a
+  stream the split cannot stand for goes through ``_content_ops``, one
+  operation per regex match, into the same interpreter body;
 * font family from /BaseFont (subset prefix stripped); Bold /
   Italic / Oblique name flags — OR'd with /FontDescriptor /Flags
   bits 7 (italic) and 19 (force-bold) — wrap runs in ``<b>``/``<i>``
@@ -82,7 +89,12 @@ from xml.sax.saxutils import escape, quoteattr
 
 from ..engine.pagexml import Fragment
 
-_OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj")
+# an object header; a match never starts inside a digit run, and the
+# possessive runs keep the search linear over xref tables
+_OBJ_RE = re.compile(rb"(?<!\d)(\d++)\s++(\d++)\s++obj")
+# what follows a stream body that its direct /Length ends: whitespace,
+# then the endstream keyword
+_RE_ENDSTREAM = re.compile(rb"[\x00\t\n\x0c\r ]*+endstream")
 # characters XML 1.0 forbids: most C0 controls, surrogates and the
 # U+FFFE/U+FFFF non-characters; real-world PDFs can decode to them
 _XML_INVALID = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -296,26 +308,38 @@ class _Lexer:
                 d[key] = val
         self.skip_ws()
         if self.data[self.pos:self.pos + 6] == b"stream":
-            self.pos += 6
-            if self.data[self.pos:self.pos + 2] == b"\r\n":
-                self.pos += 2
-            elif self.data[self.pos:self.pos + 1] in (b"\n", b"\r"):
-                self.pos += 1
-            length = d.get("/Length", 0)
-            if isinstance(length, Ref):
-                length = 0  # resolved later by endstream scan
-            if length:
-                data = self.data[self.pos:self.pos + int(length)]
-                self.pos += int(length)
-                end = self.data.find(b"endstream", self.pos)
-            else:
-                end = self.data.find(b"endstream", self.pos)
-                data = self.data[self.pos:end if end != -1 else len(self.data)]
-                data = data.rstrip(b"\r\n")
-            if end != -1:
-                self.pos = end + len(b"endstream")
-            return Stream(d, data)
+            return self.parse_stream(d)
         return d
+
+    def parse_stream(self, d: Dict) -> Stream:
+        """The stream whose dict ``d`` ends before ``pos``, the
+        position of its ``stream`` keyword."""
+        self.pos += 6
+        if self.data[self.pos:self.pos + 2] == b"\r\n":
+            self.pos += 2
+        elif self.data[self.pos:self.pos + 1] in (b"\n", b"\r"):
+            self.pos += 1
+        body = self.pos
+        length = d.get("/Length", 0)
+        if isinstance(length, Ref):
+            length = 0  # resolved later by endstream scan
+        if length:
+            data = self.data[body:body + int(length)]
+            # endstream right after /Length bytes ends the body, so
+            # "endstream" text inside the body does not end it early
+            m = _RE_ENDSTREAM.match(self.data, body + int(length))
+            if m:
+                self.pos = m.end()
+                return Stream(d, data)
+        # no /Length, or one endstream does not follow: the body ends
+        # at the first endstream
+        end = self.data.find(b"endstream", body)
+        if not length:
+            data = self.data[body:end if end != -1 else len(self.data)]
+            data = data.rstrip(b"\r\n")
+        self.pos = (end + len(b"endstream") if end != -1
+                    else body + int(length))
+        return Stream(d, data)
 
 
 def _hex_bytes(inner: bytes) -> bytes:
@@ -335,7 +359,7 @@ def _hex_bytes(inner: bytes) -> bytes:
 # keywords inside arrays, stray delimiters) makes the match fail and
 # that one operation is read by ``_Lexer`` instead.
 _CS_WS = rb"[\x00\t\n\x0c\r ]*+"
-_CS_NUM = rb"(?>[+-]?(?:\d+\.\d*|\.\d+|\d+))"
+_CS_NUM = rb"[+-]?+(?:\d++(?:\.\d*+)?+|\.\d++)"
 _CS_NAME = rb"/[^\x00\t\n\x0c\r ()<>\[\]{}/%#]*+"
 _CS_STR = rb"\((?:[^\\()]|\\[\s\S])*+\)"
 _CS_HEX = rb"<(?!<)[^>]*+>"
@@ -358,6 +382,11 @@ _STR_ESCAPES = {0x6E: b"\n", 0x72: b"\r", 0x74: b"\t", 0x62: b"\b",
 # true/false/null are values, and an operator starting with R may be
 # the R of an ``n g R`` reference (checked on the first byte)
 _CS_NOT_OPERATORS = (b"true", b"false", b"null")
+_CS_SPLIT_MISREADS = frozenset(_CS_NOT_OPERATORS + (b"BI",))
+# operators that read every operand through float(), so a numbers-only
+# operation can hand them the split's byte tokens untyped
+_CS_FLOAT_OPS = frozenset((b"Tm", b"Td", b"TD", b"TL", b"Tc", b"Tw", b"Tz",
+                           b"Ts", b"Tr", b"cm", b"rg", b"g", b"k"))
 
 
 def _unescape(m: "re.Match") -> bytes:
@@ -458,6 +487,32 @@ def _content_ops(data: bytes) -> Iterator[Tuple[bytes, List]]:
         pos = lex.pos
 
 
+def _cs_fields(data: bytes) -> List:
+    """A content stream as one flat list: a gap, then five fields per
+    operation (numbers-only operands, an escape-free string, any other
+    operands, the operator, the gap after it).  That is one
+    ``_RE_CS_OP.split`` when every gap is blank and no operator is one
+    the split misreads (``BI``, an ``R…`` operator that may close a
+    reference, true/false/null), and the stream holds no NUL (PDF
+    whitespace that ``bytes.split`` does not split numbers on).
+    Otherwise every operation comes from ``_content_ops``, its typed
+    operand list in the third field."""
+    fields = _RE_CS_OP.split(data)
+    if not (0 in data or b"".join(fields[::5]).strip(_WS)
+            or any(op[0] == 0x52 or op in _CS_SPLIT_MISREADS
+                   for op in set(fields[4::5]))):
+        return fields
+    return _cs_op_fields(data)
+
+
+def _cs_op_fields(data: bytes) -> List:
+    """``_content_ops``'s operations in ``_cs_fields``'s layout."""
+    fields: List = [b""]
+    for op, operands in _content_ops(data):
+        fields += (None, None, operands, op, b"")
+    return fields
+
+
 def _png_unpredict(data: bytes, colors: int, bpc: int, columns: int) -> bytes:
     """Reverse PNG row filters (types 0–4) — xref streams are almost
     always Flate + /Predictor 12."""
@@ -555,31 +610,61 @@ class PdfDocument:
         self.raw = raw
         self.objects: Dict[int, object] = {}
         self._gens: Dict[int, int] = {}
-        for m in _OBJ_RE.finditer(raw):
-            num = int(m.group(1))
-            lex = _Lexer(raw, m.end())
+        # step from object to object: resume the header search after
+        # each object's endobj, and so after a stream's body, so that
+        # ``N G obj`` or ``trailer`` text inside a string or a stream
+        # never defines an object or a trailer.  A later definition of
+        # the same number (an incremental update) still wins.
+        search, find = _OBJ_RE.search, raw.find
+        # where each ``trailer`` keyword between objects ends
+        self._trailer_at: List[int] = []
+        gap = 0  # start of the bytes after the last object read
+        m = search(raw)
+        while m is not None:
+            self._find_trailers(gap, m.start())
+            num, gen, start = int(m.group(1)), int(m.group(2)), m.end()
+            lex = _Lexer(raw, start)
             try:
                 obj = lex.parse_object()
             except Exception:
+                gap, m = start, search(raw, start)
                 continue
             if isinstance(obj, Stream):
-                obj.num, obj.gen = num, int(m.group(2))
+                obj.num, obj.gen = num, gen
             self.objects[num] = obj
-            self._gens[num] = int(m.group(2))
+            self._gens[num] = gen
+            lex.skip_ws()
+            if raw.startswith(b"endobj", lex.pos):
+                resume = lex.pos + 6
+            else:
+                # a string or dict that never closes stops at the
+                # object's endobj: the objects after it stay found
+                end = find(b"endobj", start)
+                resume = (lex.pos if end == -1 or isinstance(obj, Stream)
+                          else min(lex.pos, end + 6))
+            gap, m = resume, search(raw, resume)
+        self._find_trailers(gap, len(raw))
         # _Font per font dict (keyed by identity: the dicts live in
         # ``objects``), shared by every page and Form XObject
         self._fonts: Dict[int, "_Font"] = {}
         self._setup_decryption()
         self._expand_object_streams()
 
+    def _find_trailers(self, start: int, stop: int) -> None:
+        at = self.raw.find(b"trailer", start, stop)
+        while at != -1:
+            self._trailer_at.append(at + 7)
+            at = self.raw.find(b"trailer", at + 7, stop)
+
     def _trailer_dicts(self) -> List[Dict]:
         """Every trailer dict in the file (classic ``trailer`` keyword
-        occurrences, later/incremental ones last) plus /Type /XRef
-        stream dicts — the two places /Encrypt and /ID live."""
+        occurrences between objects, later/incremental ones last) plus
+        /Type /XRef stream dicts — the two places /Encrypt and /ID
+        live."""
         out: List[Dict] = []
-        for m in re.finditer(rb"trailer", self.raw):
+        for at in self._trailer_at:
             try:
-                d = _Lexer(self.raw, m.end()).parse_object()
+                d = _Lexer(self.raw, at).parse_object()
             except Exception:
                 continue
             if isinstance(d, dict):
@@ -1140,6 +1225,12 @@ class _Font:
             _std14_widths(self.family, self.bold, self.italic)
             if self.widths is None and not self.cid and not self.type3
             else None)
+        # the common simple font, decided once: its codes are latin-1
+        # text, and each advances the Courier 600 units
+        self.latin1 = not (self.to_unicode or self.cid or self.diff_map
+                           or self.enc_table)
+        self.fixed = not self.cid and self.std14 is None and (
+            self.widths is None or self.first_char is None)
 
     def _parse_w_array(self, doc: PdfDocument, w) -> None:
         """CIDFont /W: ``[c [w...]]`` per-CID runs or ``[c1 c2 w]``
@@ -1224,6 +1315,8 @@ class _Font:
         return raw
 
     def decode(self, raw: bytes) -> str:
+        if self.latin1:
+            return raw.decode("latin-1")
         codes = self._codes(raw)
         if self.to_unicode:
             return "".join(self.to_unicode.get(c, chr(c)) for c in codes)
@@ -1248,6 +1341,8 @@ class _Font:
         return chr(code)
 
     def advance_units(self, raw: bytes) -> float:
+        if self.fixed:
+            return _COURIER_WIDTH * len(raw)
         if self.cid and self.cid_codec:
             # mixed 1/2-byte legacy codespace: one CID per DECODED
             # char (the fixed 2-byte walk would halve ASCII runs);
@@ -1279,24 +1374,22 @@ class _Font:
         return _COURIER_WIDTH * len(codes)
 
 
-class _TextRun:
-    __slots__ = ("x", "y", "width", "size", "text", "font_key",
-                 "family", "color", "bold", "italic")
+class _TextRun(NamedTuple):
+    x: float
+    y: float
+    width: float
+    size: float
+    text: str
+    font_key: str
+    family: str
+    color: str
+    bold: bool
+    italic: bool
 
-    def __init__(self, x: float, y: float, width: float, size: float,
-                 text: str, font_key: str, family: str = "Courier",
-                 color: str = "#000000", bold: bool = False,
-                 italic: bool = False) -> None:
-        self.x = x
-        self.y = y
-        self.width = width
-        self.size = size
-        self.text = text
-        self.font_key = font_key
-        self.family = family
-        self.color = color
-        self.bold = bold
-        self.italic = italic
+
+# builds a run from a tuple of every field without running the
+# NamedTuple's Python-level __new__: one call per shown string
+_tuple_new = tuple.__new__
 
 
 _MAT_ID = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -1310,10 +1403,6 @@ def _mat_mul(m1, m2):
     return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
             c1 * a2 + d1 * c2, c1 * b2 + d1 * d2,
             e1 * a2 + f1 * c2 + e2, e1 * b2 + f1 * d2 + f2)
-
-
-def _mat_apply(m, x, y):
-    return (m[0] * x + m[2] * y + m[4], m[1] * x + m[3] * y + m[5])
 
 
 def _mat_translate(dx, dy, m):
@@ -1414,7 +1503,7 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                             (1 - min(1, y_ + k_)))
         return "#000000"
 
-    def show(raw: bytes, adjust: float = 0.0) -> None:
+    def show(raw: bytes) -> None:
         nonlocal tm
         if font is None or not raw:
             return
@@ -1425,18 +1514,28 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
         # scaling multiplies the whole displacement.  Justified text
         # from word processors leans on Tw/Tc, so dropping them would
         # misplace every following fragment on the line.
-        n_codes = (len(raw) // 2) if font.cid else len(raw)
-        n_spaces = 0 if font.cid else raw.count(0x20)
+        if font.cid:
+            n_codes, n_spaces = len(raw) // 2, 0
+        else:
+            n_codes, n_spaces = len(raw), raw.count(0x20)
         text_adv = (font.advance_units(raw) / 1000.0 * size
                     + n_codes * char_spacing
                     + n_spaces * word_spacing) * hscale
-        m = _mat_mul(tm, ctm)
+        # m = _mat_mul(tm, ctm), written out: this runs once per shown
+        # string
+        ta, tb, tc, td, te, tf = tm
+        ca, cb, cc, cd, ce, cf = ctm
+        ma, mb = ta * ca + tb * cc, ta * cb + tb * cd
+        mc, md = tc * ca + td * cc, tc * cb + td * cd
+        me, mf = te * ca + tf * cc + ce, te * cb + tf * cd + cf
         # Ts rise shifts the baseline in unscaled text space (spec
         # 9.3.7) — a superscript footnote marker must not drag its
-        # fragment onto the neighbouring bucketed line
-        ox, oy = _mat_apply(m, 0.0, rise)
-        advx = text_adv * m[0]
-        advy = text_adv * m[1]
+        # fragment onto the neighbouring bucketed line: the origin is
+        # the point (0, rise) mapped through m
+        ox = ma * 0.0 + mc * rise + me
+        oy = mb * 0.0 + md * rise + mf
+        advx = text_adv * ma
+        advy = text_adv * mb
         if abs(advy) <= 1e-9 + 1e-6 * abs(advx):
             # axis-aligned horizontal in DISPLAY space (identity,
             # flipped, or rotation canceled by /Rotate): the emitted
@@ -1452,7 +1551,7 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
             # baseline origin — a documented approximation; vertical
             # text has no faithful <text> representation in the
             # pdftohtml XML model
-            szx = size * m[2]
+            szx = size * mc
             xs = (ox, ox + advx, ox + szx, ox + advx + szx)
             dev_x = min(xs)
             dev_y = min(oy, oy + advy)
@@ -1460,24 +1559,43 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
         if (render_mode & 3) != 3:
             # invisible (3) / clip-only (7) text advances but emits
             # nothing — HtmlOutputDev's `(render & 3) == 3` skip
-            runs.append(_TextRun(dev_x, dev_y, width,
-                                 size * abs(m[3]) if abs(m[3]) > 1e-9
-                                 else size * abs(m[2]), text,
-                                 f"{font_key}:{fill_color}",
-                                 font.family, fill_color,
-                                 font.bold, font.italic))
-        tm = _mat_translate(text_adv, 0.0, tm)
+            runs.append(_tuple_new(_TextRun, (
+                dev_x, dev_y, width,
+                size * abs(md) if abs(md) > 1e-9 else size * abs(mc),
+                text, f"{font_key}:{fill_color}", font.family, fill_color,
+                font.bold, font.italic)))
+        # _mat_translate(text_adv, 0.0, tm) written out
+        tm = (ta, tb, tc, td,
+              text_adv * ta + 0.0 * tc + te,
+              text_adv * tb + 0.0 * td + tf)
 
     def exec_content(data: bytes, fonts: Dict, xobjects: Dict,
                      depth: int) -> None:
-        """Interpret one content stream; recurses into Form XObjects
+        """Interpret one content stream, its operations as
+        ``_cs_fields`` lays them out; recurses into Form XObjects
         (``Do``) with the graphics state saved/restored per spec.
         ``_content_ops`` reads inline images (``BI … EI`` carry raw
         binary) as one operation."""
         nonlocal font, font_key, size, leading, tm, tlm
         nonlocal ctm, fill_color
         nonlocal char_spacing, word_spacing, hscale, rise, render_mode
-        for op, stack in _content_ops(data):
+        fields = iter(_cs_fields(data))
+        next(fields)  # the gap before the first operation
+        for nums, plain, args, op, _ in zip(fields, fields, fields,
+                                            fields, fields):
+            # the operands: a float-only operator reads the split's
+            # number tokens as they are; the rest get them typed
+            if nums is not None:
+                stack = (nums.split() if op in _CS_FLOAT_OPS
+                         else _cs_operands(nums))
+            elif plain is not None:
+                stack = (plain,)
+            elif args is None:
+                stack = ()
+            elif type(args) is bytes:
+                stack = _cs_operands(args)
+            else:
+                stack = args
             # text showing and positioning first: they are almost all
             # of a text page's operations
             if op == b"Tj":
@@ -1675,6 +1793,8 @@ class PageRecord(NamedTuple):
 def _xml_text(text: str) -> str:
     """Character data as an XML parser hands it back: XML-invalid
     characters dropped, CR LF and lone CR read as LF."""
+    if text.isprintable():  # no C0 control, surrogate or non-character
+        return text
     text = _XML_INVALID.sub("", text)
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -1705,21 +1825,22 @@ def pdf_page_records(raw: bytes) -> Tuple[List[PageRecord], List[List[Dict]]]:
         spec_ids: Dict[str, str] = {}
         fontspecs: List[Dict] = []
         fragments: List[Fragment] = []
-        for run in runs:
-            font_id = spec_ids.get(run.font_key)
+        for x, y, width, size, text, key, family, color, bold, italic \
+                in runs:
+            font_id = spec_ids.get(key)
             if font_id is None:
-                font_id = spec_ids[run.font_key] = str(len(spec_ids))
-                fontspecs.append({"ID": font_id, "SIZE": _g(run.size),
-                                  "FAMILY": _xml_attr(run.family),
-                                  "COLOR": run.color})
-            size_px = math.floor(run.size * 4 / 3)
-            text = _xml_text(run.text)
+                font_id = spec_ids[key] = str(len(spec_ids))
+                fontspecs.append({"ID": font_id, "SIZE": _g(size),
+                                  "FAMILY": _xml_attr(family),
+                                  "COLOR": color})
+            size_px = math.floor(size * 4 / 3)
+            text = _xml_text(text)
             # pdftohtml wraps a styled run in <b>/<i>; only the outer
             # element becomes a textAttributes range (ParseText.php:70-95)
-            style = "b" if run.bold else ("i" if run.italic else None)
+            style = "b" if bold else ("i" if italic else None)
             fragments.append(Fragment(
-                round(page_h - run.y - size_px), round(run.x),
-                round(run.width), size_px, font_id, text,
+                round(page_h - y - size_px), round(x), round(width),
+                size_px, font_id, text,
                 {style: [{"start": 0, "end": len(text) - 1}]}
                 if style else None))
         pages.append(PageRecord(_g(page_w), _g(page_h), fontspecs,

@@ -43,7 +43,7 @@ Record = Tuple[str, str, str]
 class ExtractorActor:
     """Stateful batch extractor.  ``extract_batch`` keeps one per worker
     process (``ds.map_batches(extract_batch, batch_format="pyarrow",
-    batch_size=B, zero_copy_batch=True)``), and the resumable lineage
+    batch_size=None, zero_copy_batch=True)``), and the resumable lineage
     job calls it once per fragment; ``extract_doc`` is the per-document
     step."""
 

@@ -43,8 +43,7 @@ def test_pdf_heavy_corpus_extracts(tmp_path):
     n = 60
     out = str(tmp_path / "pdfheavy")
     write_corpus_parquet(n, out, docs_per_shard=20, mix="pdf_heavy")
-    res = build_extract_pipeline(
-        ray.data.read_parquet(out), batch_size=None)
+    res = build_extract_pipeline(ray.data.read_parquet(out))
     assert res.count() == n
     # indices 0..119 of the default mix include one 'large' (0) and
     # several 'medium' docs: every one keeps its row

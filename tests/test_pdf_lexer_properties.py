@@ -197,3 +197,114 @@ def test_operand_regex_is_linear_on_long_runs():
     data = b"1 " * 20000 + b"(" + b"a" * 20000
     assert list(_content_ops(data)) == []
     assert re.fullmatch(rb"(?:1 )+\(a+", data)
+
+
+# -- the interpreter reads one split per content stream ----------------
+# ``_extract_page_runs`` takes each stream's operations from one
+# ``_RE_CS_OP.split`` (``_cs_fields``) and reads a stream through
+# ``_content_ops`` only when the split cannot stand for it.  Whichever
+# source a page takes, the runs must be the ones ``_content_ops`` gives.
+
+import math  # noqa: E402
+from unittest import mock  # noqa: E402
+
+from ray_script_extract.sources import pdfnative  # noqa: E402
+from ray_script_extract.sources.pdf_fixtures import build_pdf  # noqa: E402
+
+# a one-page document: F1 is Courier, F2 Courier-Bold, F3 Courier-Oblique;
+# each example swaps in its own content stream
+_DOC = pdfnative.PdfDocument(build_pdf([[(72, 100, "x")]], compress=False))
+(_PAGE,) = _DOC.pages()
+_CONTENT = _DOC.resolve(_PAGE["/Contents"])
+_SHOW_OPS = [
+    b"/F1 12 Tf", b"/F2 9.5 Tf", b"(ab c) Tj", b"[(a) 120 (b c)] TJ",
+    b"0 -14 Td", b"2 0 0 2 10 20 Tm", b"1 0 0 1 72 700 Tm", b"0.5 g",
+    b"1 0 0 rg", b"0 0 0 1 k", b"0.2 sc", b"3 Tw", b"1.5 Tc", b"80 Tz",
+    b"2 Ts", b"3 Tr", b"q", b"Q", b"0 1 -1 0 0 0 cm", b"14 TL", b"T*",
+    b"(x) '", b"1 2 (y) \"", b"BT", b"ET",
+]
+
+
+def _runs(data: bytes, fields=None):
+    """(text, x, y, width, font key, colour) per run and the media, or
+    the exception type; ``fields`` forces the op source."""
+    stream = pdfnative.Stream({}, data)
+    with mock.patch.object(_DOC, "objects",
+                           {**_DOC.objects, _PAGE["/Contents"].num: stream}):
+        with mock.patch.object(pdfnative, "_cs_fields",
+                               fields or pdfnative._cs_fields):
+            try:
+                runs, media, _w, _h = pdfnative._extract_page_runs(
+                    _DOC, _PAGE)
+            except Exception as e:  # both sources must fail alike
+                return type(e)
+    # NaN compares equal to itself here; -0.0 == 0.0 already
+    num = lambda v: "nan" if math.isnan(v) else v  # noqa: E731
+    return ([(r.text, num(r.x), num(r.y), num(r.width), r.font_key,
+              r.color) for r in runs], media)
+
+
+def _split_matches_content_ops(data: bytes) -> None:
+    assert _runs(data) == _runs(data, pdfnative._cs_op_fields)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_TOKENS + _SHOW_OPS),
+                          st.sampled_from(_SEPARATORS)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_split_runs_match_content_ops(parts):
+    _split_matches_content_ops(
+        b"BT /F1 12 Tf 1 0 0 1 72 700 Tm "
+        + b"".join(tok + sep for tok, sep in parts))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SHOW_OPS),
+                          st.sampled_from([b" ", b"\n", b"\r\n", b"\t"])),
+                max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_split_runs_match_content_ops_on_text_programs(parts):
+    """Programs of well-formed text operations: nearly all take the
+    split."""
+    _split_matches_content_ops(
+        b"BT /F1 12 Tf 1 0 0 1 72 700 Tm "
+        + b"".join(tok + sep for tok, sep in parts))
+
+
+@given(st.binary(max_size=120))
+@settings(max_examples=300, deadline=None)
+def test_split_runs_match_content_ops_on_arbitrary_bytes(data):
+    _split_matches_content_ops(b"BT /F1 12 Tf " + data)
+
+
+def test_text_page_takes_the_split(monkeypatch):
+    expected = _runs(_TEXT_PAGE, pdfnative._cs_op_fields)
+    assert len(expected[0]) == 6
+
+    def no_fallback(data):
+        raise AssertionError("_content_ops read a plain text page")
+
+    monkeypatch.setattr(pdfnative, "_content_ops", no_fallback)
+    assert _runs(_TEXT_PAGE) == expected
+
+
+@pytest.mark.parametrize("odd", [
+    b"BI /W 1 /H 1 /BPC 8 ID \x00 EI",        # inline image
+    b"/Span << /MCID 0 >> BDC",                # dict operand
+    b"(nest(ed)here) Tj",                      # nested string
+    b"1 0 R 2 Tw",                             # a reference
+    b"true 3 Tw",                              # a non-operator keyword
+    b"% comment\n",                            # a comment
+])
+def test_odd_pages_fall_back_and_match(odd):
+    data = _TEXT_PAGE.replace(b"ET\n", odd + b" (after) Tj ET\n")
+    calls = []
+    content_ops = pdfnative._content_ops
+
+    def counting(data):
+        calls.append(data)
+        return content_ops(data)
+
+    with mock.patch.object(pdfnative, "_content_ops", counting):
+        got = _runs(data)
+    assert calls == [data]
+    assert got == _runs(data, pdfnative._cs_op_fields)
+    assert got[0][-1][0] == "after"

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import base64
 
+import pytest
+
 from ray_script_extract.engine.parse_text import parse_pages_xml
 from ray_script_extract.engine.pdfdoc import extract_pdf_raw_document
 from ray_script_extract.sources.pagexml_fixtures import screenplay_page
@@ -153,3 +155,95 @@ def test_font_built_once_per_font_dict(monkeypatch):
                      screenplay_pdf_lines(SCENES_1)])
     pdfnative.pdf_page_records(pdf)
     assert len(built) == len(set(built)) == 3
+
+
+# -- the object scan steps from object to object ------------------------
+# ``N G obj`` text inside a stream body or a string is data, not an
+# object header: before the scan stepped over object bodies, it
+# redefined object 1 (the Courier font) from a content stream's text.
+
+def _before_xref(pdf: bytes, extra: bytes) -> bytes:
+    """``pdf`` with ``extra`` objects spliced in after its last object
+    (the scan ignores xref offsets)."""
+    at = pdf.rindex(b"xref")
+    return pdf[:at] + extra + pdf[at:]
+
+
+def _font_names(doc: PdfDocument):
+    return {num: obj.get("/BaseFont") for num, obj in doc.objects.items()
+            if isinstance(obj, dict) and obj.get("/Type") == "/Font"}
+
+
+def test_object_header_in_a_stream_body_defines_nothing():
+    from ray_script_extract.sources.pdfnative import pdf_page_records
+
+    pdf = build_pdf([[(72, 108, "INT. HOUSE - DAY"),
+                      (96, 108, "see 1 0 obj here")]], compress=False)
+    assert b"(see 1 0 obj here)" in pdf
+    pages, _media = pdf_page_records(pdf)
+    assert [f.value for f in pages[0].fragments] == [
+        "INT. HOUSE - DAY", "see 1 0 obj here"]
+    assert _font_names(PdfDocument(pdf))[1] == "/Courier"
+
+
+def test_trailer_in_a_stream_body_is_no_trailer():
+    """``trailer`` text inside a content stream named an /Encrypt dict
+    and failed the document."""
+    from ray_script_extract.sources.pdfnative import pdf_page_records
+
+    line = "see trailer << /Encrypt 1 0 R >> here"
+    pdf = build_pdf([[(72, 108, "INT. HOUSE - DAY"), (96, 108, line)]],
+                    compress=False)
+    pages, _media = pdf_page_records(pdf)
+    assert [f.value for f in pages[0].fragments] == ["INT. HOUSE - DAY",
+                                                     line]
+
+
+@pytest.mark.parametrize("line", [
+    "see endstream 1 0 obj here",
+    "see endstream trailer << /Encrypt 1 0 R >> here",
+])
+def test_endstream_text_in_a_stream_body_ends_nothing(line):
+    """A body that holds ``endstream`` text ends at its direct /Length,
+    not at that text, so what follows it in the body is still data."""
+    from ray_script_extract.sources.pdfnative import pdf_page_records
+
+    pdf = build_pdf([[(72, 108, "INT. HOUSE - DAY"), (96, 108, line)]],
+                    compress=False)
+    pages, _media = pdf_page_records(pdf)
+    assert [f.value for f in pages[0].fragments] == ["INT. HOUSE - DAY",
+                                                     line]
+    assert _font_names(PdfDocument(pdf))[1] == "/Courier"
+
+
+def test_object_header_in_a_string_defines_nothing():
+    pdf = _before_xref(build_pdf([screenplay_pdf_lines(SCENES_1)]),
+                       b"90 0 obj\n<< /Title (a 2 0 obj b) >>\nendobj\n")
+    doc = PdfDocument(pdf)
+    assert doc.objects[90] == {"/Title": b"a 2 0 obj b"}
+    assert _font_names(doc)[2] == "/Courier-Bold"
+
+
+def test_endobj_text_in_a_string_ends_nothing():
+    pdf = _before_xref(build_pdf([screenplay_pdf_lines(SCENES_1)]),
+                       b"90 0 obj\n<< /Title (a endobj 2 0 obj b) >>\n"
+                       b"endobj\n")
+    doc = PdfDocument(pdf)
+    assert doc.objects[90] == {"/Title": b"a endobj 2 0 obj b"}
+    assert _font_names(doc)[2] == "/Courier-Bold"
+
+
+def test_unclosed_string_stops_at_its_endobj():
+    """An object whose string never closes does not swallow the objects
+    after it."""
+    pdf = _before_xref(build_pdf([screenplay_pdf_lines(SCENES_1)]),
+                       b"90 0 obj\n<< /Title (never closed >>\nendobj\n"
+                       b"91 0 obj\n<< /Kept true >>\nendobj\n")
+    assert PdfDocument(pdf).objects[91] == {"/Kept": True}
+
+
+def test_incremental_update_redefinition_wins():
+    pdf = build_pdf([screenplay_pdf_lines(SCENES_1)]) + (
+        b"2 0 obj\n<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>"
+        b"\nendobj\n%%EOF\n")
+    assert _font_names(PdfDocument(pdf))[2] == "/Helvetica"

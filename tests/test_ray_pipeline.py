@@ -41,7 +41,7 @@ def test_goldens_through_ray_extract_stage():
             + [(l["type"], l["text"]) for l in golden["lines"]])
 
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows, schema=DOC_SCHEMA))
-    out = build_extract_pipeline(ds, batch_size=4)
+    out = build_extract_pipeline(ds)
     got = {}
     for row in out.iter_rows():
         got[row["doc_id"]] = [(s["kind"], s["text"]) for s in row["spans"]]
