@@ -162,25 +162,12 @@ def _merged_ranges(prev: ScriptObject, nxt: ScriptObject, offset: int,
 
 
 class TextParser:
-    """``debug_sink`` (optional callable ``(stage_name, blocks)``)
-    mirrors the reference's 8 ``$DUMP_BLOCKS`` dump points
-    (ParseText.php:1177-1677) — a stage-snapshot hook for differential
-    conformance debugging."""
-
-    def __init__(self, colors, debug_sink=None) -> None:
+    def __init__(self, colors) -> None:
         self.objects: List[ScriptObject] = []
         self.num_pages = 0
         self.given_page_num = ""
         self.colors = colors
         self._timer = SeriesTimer()
-        self._debug_sink = debug_sink
-
-    def _snap(self, stage: str, blocks: List[Block]) -> None:
-        if self._debug_sink is not None:
-            self._debug_sink(stage, [
-                {"kind": b.kind, "x": b.x, "y": b.y,
-                 "unsure": b.classification_is_unsure,
-                 "lines": list(b.lines)} for b in blocks])
 
     # ------------------------------------------------------------------
     def parse_page(self, line_objects: List[LineObject],
@@ -293,7 +280,6 @@ class TextParser:
                 blocks.append(Block(piece))
 
         maybe_merge_across_intersentence_spaces(blocks)
-        self._snap("before_classify", blocks)
 
         # --- classify based on content -------------------------------
         for bx, block in enumerate(blocks):
@@ -304,7 +290,6 @@ class TextParser:
             if prev_kind == "Page Number":
                 prev_kind = blocks[bx - 2].kind if bx > 1 else last_page_block_kind
             block.classify_based_on_content(prev_kind, bx)
-        self._snap("after_classify", blocks)
 
         # --- likely indent per kind ----------------------------------
         likely_indent_for = nextgen_compute_indents(blocks)
@@ -336,8 +321,6 @@ class TextParser:
                     and block.is_transition_follower()):
                 blocks[ax - 1].kind = "Transition"
 
-        self._snap("after_reclassify_indent", blocks)
-
         # --- Unknown at modal indent → Slugline/Action ---------------
         likely2 = get_likely_indents(
             blocks, ("Character", "Dialog", "Slugline", "Action", "Unknown"))
@@ -351,8 +334,6 @@ class TextParser:
                     block.kind = ("Slugline" if is_uppercase(block.lines[0])
                                   else "Action")
                     block.classification_is_unsure = True
-
-        self._snap("after_unknown_modal", blocks)
 
         # --- Dialog-after-slug demotion ------------------------------
         for ax, block in enumerate(blocks):
@@ -440,9 +421,7 @@ class TextParser:
             previous_character.kind = "Slugline" if is_slug else "Action"
 
         # --- dual-dialog reconstruction ------------------------------
-        self._snap("before_dual_dialog", blocks)
         self._reconstruct_dual_dialog(blocks)
-        self._snap("after_dual_dialog", blocks)
 
         # --- Unknown → final kind ------------------------------------
         for block_index, block in enumerate(blocks):
@@ -457,8 +436,6 @@ class TextParser:
                             kind = "Text"
                 block.kind = kind
 
-        self._snap("after_unknown_final", blocks)
-
         # --- Action → Text/Shot by vertical spacing ------------------
         for block_index, block in enumerate(blocks):
             if block.kind == "Action":
@@ -468,8 +445,6 @@ class TextParser:
                     elif (block_index >= 2 and blocks[block_index - 2].is_blank()
                           and block.is_uppercase_single_line()):
                         block.kind = "Shot"
-
-        self._snap("after_action_spacing", blocks)
 
         # --- margin-blank removal ------------------------------------
         removed = [False] * len(blocks)
@@ -500,8 +475,6 @@ class TextParser:
                 seen_real_line = True
                 i += 1
         blocks = [b for ix, b in enumerate(blocks) if not removed[ix]]
-
-        self._snap("after_blank_removal", blocks)
 
         # --- blocks → ScriptObjects ----------------------------------
         # Each object gets its text from one join; its colour and

@@ -34,6 +34,7 @@ the ``get_flagship_spans`` / minhash-pair-table seam pattern.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -48,9 +49,27 @@ import ray
 import ray.data
 
 from .similarity import (_query_matrix, _read_emb, _sample_matrix,
-                         kmeans_fit)
+                         kmeans_fit, top_k_per_query)
 
 _SHARED_INDEX: Dict[tuple, str] = {}
+
+
+def _assign_lists(batch: pa.Table, centroids_ref, predicate) -> pa.Table:
+    """Append each embedding's inverted-list id (its nearest centroid
+    by cosine) to ``batch``; ``predicate`` (vec_ids -> bool mask) first
+    keeps only the rows a partial build covers."""
+    if predicate is not None:
+        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        batch = batch.filter(pa.array(predicate(ids)))
+        if batch.num_rows == 0:
+            return batch.append_column("list_id",
+                                       pa.array([], pa.int64()))
+    cents = ray.get(centroids_ref)
+    m = np.vstack(batch.column("embedding")
+                  .to_numpy(zero_copy_only=False)).astype(np.float64)
+    m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    lists = (m @ cents.T).argmax(axis=1).astype(np.int64)
+    return batch.append_column("list_id", pa.array(lists, pa.int64()))
 
 
 def _corpus_fingerprint(sf_dir: str) -> str:
@@ -105,29 +124,15 @@ def build_ivf_index(sf_dir: str, index_dir: str | None = None,
         centroids = kmeans_fit(_sample_matrix(sf_dir), n_clusters)
         bc = ray.put(centroids)
 
-        def assign(batch: pa.Table) -> pa.Table:
-            if predicate is not None:
-                ids = batch.column("vec_id").to_numpy(
-                    zero_copy_only=False)
-                batch = batch.filter(pa.array(predicate(ids)))
-                if batch.num_rows == 0:
-                    return batch.append_column(
-                        "list_id", pa.array([], pa.int64()))
-            cents = ray.get(bc)
-            m = np.vstack(batch.column("embedding")
-                          .to_numpy(zero_copy_only=False)).astype(np.float64)
-            m = m / np.linalg.norm(m, axis=1, keepdims=True)
-            lists = (m @ cents.T).argmax(axis=1).astype(np.int64)
-            return batch.append_column("list_id",
-                                       pa.array(lists, pa.int64()))
-
         # min_rows_per_file coalesces the many small read blocks so a
         # partition is a few well-sized files, not one tiny file per
         # (input block × partition) — file-open cost dominated the
         # probe read otherwise (895 files at sf0.1).  At 100 TB blocks
         # are already large and the knob is a no-op.
         _read_emb(sf_dir).map_batches(
-            assign, batch_format="pyarrow", zero_copy_batch=True) \
+            functools.partial(_assign_lists, centroids_ref=bc,
+                              predicate=predicate),
+            batch_format="pyarrow", zero_copy_batch=True) \
             .write_parquet(os.path.join(tmp_dir, "lists"),
                            partition_cols=["list_id"],
                            min_rows_per_file=64_000)
@@ -277,15 +282,8 @@ def knn_cosine_ivf_indexed(sf_dir: str, n_queries: int = 4, k: int = 5,
 
     from .joins import hash_partitioned_map, sorted_small
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True], kind="stable")
-        df = df.groupby("query_id", sort=False).head(k).copy()
-        df["rank"] = (df.groupby("query_id", sort=False).cumcount()
-                      + 1).astype(np.int64)
-        return df[["query_id", "vec_id", "rank"]]
-
-    return sorted_small(hash_partitioned_map(scored, ["query_id"], topk),
+    return sorted_small(hash_partitioned_map(
+        scored, ["query_id"], functools.partial(top_k_per_query, k=k)),
                         ["query_id", "rank"])
 
 
@@ -355,25 +353,13 @@ def append_ivf_index(sf_dir: str, batch_id: str,
         cent_t["centroid"].to_numpy(zero_copy_only=False)[order])
     bc = ray.put(centroids)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        if predicate is not None:
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            batch = batch.filter(pa.array(predicate(ids)))
-            if batch.num_rows == 0:
-                return batch.append_column("list_id",
-                                           pa.array([], pa.int64()))
-        cents = ray.get(bc)
-        m = np.vstack(batch.column("embedding")
-                      .to_numpy(zero_copy_only=False)).astype(np.float64)
-        m = m / np.linalg.norm(m, axis=1, keepdims=True)
-        lists = (m @ cents.T).argmax(axis=1).astype(np.int64)
-        return batch.append_column("list_id", pa.array(lists, pa.int64()))
-
     tmp = f"{seg}.build-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
     _read_emb(sf_dir).map_batches(
-        assign, batch_format="pyarrow", zero_copy_batch=True) \
+        functools.partial(_assign_lists, centroids_ref=bc,
+                          predicate=predicate),
+        batch_format="pyarrow", zero_copy_batch=True) \
         .write_parquet(os.path.join(tmp, "lists"),
                        partition_cols=["list_id"],
                        min_rows_per_file=64_000)

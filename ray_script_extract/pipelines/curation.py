@@ -718,6 +718,15 @@ FROM pk ORDER BY doc_id
 _SORT_PARTITIONS = 8
 
 
+def _n_chars_hist(batch: pa.Table) -> pa.Table:
+    """Per-batch histogram of ``n_chars``: (value, count) rows."""
+    v, c = np.unique(
+        batch.column("n_chars").to_numpy(zero_copy_only=False),
+        return_counts=True)
+    return pa.table({"n_chars": pa.array(v.astype(np.int64), pa.int64()),
+                     "cnt": pa.array(c.astype(np.int64), pa.int64())})
+
+
 def export_sorted(sf_dir: str, output_dir: str,
                   num_partitions: int = _SORT_PARTITIONS) -> pd.DataFrame:
     """Globally-sorted, range-partitioned parquet export of the
@@ -755,15 +764,9 @@ def export_sorted(sf_dir: str, output_dir: str,
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["n_chars"])
 
-    def hist(batch: pa.Table) -> pa.Table:
-        v, c = np.unique(
-            batch.column("n_chars").to_numpy(zero_copy_only=False),
-            return_counts=True)
-        return pa.table({"n_chars": pa.array(v.astype(np.int64), pa.int64()),
-                         "cnt": pa.array(c.astype(np.int64), pa.int64())})
-
     counts = (groupby_agg_partitioned(
-        ds.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True),
+        ds.map_batches(_n_chars_hist, batch_format="pyarrow",
+                       zero_copy_batch=True),
         ["n_chars"], {"cnt": "sum"})
         .to_pandas().sort_values("n_chars"))
     vals = counts["n_chars"].to_numpy()

@@ -315,8 +315,6 @@ def hash_join_via_groupby(left: "ray.data.Dataset", right: "ray.data.Dataset",
                                          pd.DataFrame] | None = None,
                           left_schema: "pa.Schema | None" = None,
                           right_schema: "pa.Schema | None" = None,
-                          hot_keys: "np.ndarray | None" = None,
-                          num_salts: int = 8,
                           ) -> "ray.data.Dataset":
     """Equi-join on integer keys, Arrow end-to-end until the
     per-partition merge.  Column sets must be disjoint apart from the
@@ -346,35 +344,11 @@ def hash_join_via_groupby(left: "ray.data.Dataset", right: "ray.data.Dataset",
     input is a LAZY pipeline: ``Dataset.schema()`` on a lazy dataset
     EXECUTES its upstream operators as a probe, so a chained join
     without explicit schemas silently re-runs the previous join's
-    whole pipeline.
-
-    ``hot_keys`` (sorted int array) turns on HOT-KEY SALTING: each
-    hot key gets ``num_salts`` dedicated partitions of its own — the
-    LEFT (fact) side's hot rows spread across them round-robin, the
-    RIGHT (dimension) side's hot rows REPLICATE into all of them, so
-    one dominant key can no longer serialize the join on a single
-    reduce task (the classic skew fix: replicate the small side,
-    never the big one).  Salting splits a key across tasks, so it is
-    incompatible with per-key ``pre_left``/``dedupe_left`` (raises),
-    and ``post`` must be salt-safe (per-partition partials that a
-    later reduce re-combines — which is how every caller here already
-    uses it).  Supported for ``inner``/``left`` with the fact on the
-    left: fact rows are never replicated, so left-null semantics and
-    row multiplicity are untouched."""
+    whole pipeline."""
     if how not in ("inner", "left", "right", "outer"):
         raise ValueError(f"unsupported how={how!r}")
     if num_partitions is None:
         num_partitions = default_partitions()
-    hot_sorted = None
-    if hot_keys is not None and len(hot_keys):
-        if pre_left is not None or dedupe_left:
-            raise ValueError("hot-key salting splits a key across "
-                             "tasks; per-key pre_left/dedupe_left "
-                             "would be wrong")
-        if how not in ("inner", "left"):
-            raise ValueError("salting supports inner/left joins "
-                             "(fact side on the left) only")
-        hot_sorted = np.sort(np.asarray(hot_keys, dtype=np.int64))
 
     def _arrow_types(schema):
         # pandas-block datasets report numpy dtypes; normalize to Arrow
@@ -430,33 +404,6 @@ def hash_join_via_groupby(left: "ray.data.Dataset", right: "ray.data.Dataset",
             k = tbl.column(key).to_numpy(zero_copy_only=False) \
                 .astype(np.int64, copy=False)
             part = (k % num_partitions).astype(np.int64)
-            if hot_sorted is not None:
-                pos = np.searchsorted(hot_sorted, k)
-                pos_c = np.minimum(pos, len(hot_sorted) - 1)
-                is_hot = hot_sorted[pos_c] == k
-                if side_flag == 0:
-                    # fact side: spread each hot key round-robin over
-                    # its num_salts dedicated partitions
-                    salt = np.arange(len(k), dtype=np.int64) % num_salts
-                    part = np.where(
-                        is_hot,
-                        num_partitions + pos_c * num_salts + salt, part)
-                elif is_hot.any():
-                    # dimension side: replicate hot rows into every
-                    # salted partition of their key
-                    cold = tbl.filter(pa.array(~is_hot))
-                    cold_part = part[~is_hot]
-                    hot_idx = np.flatnonzero(is_hot)
-                    rep = tbl.take(pa.array(np.repeat(hot_idx,
-                                                      num_salts)))
-                    rep_part = (num_partitions
-                                + np.repeat(pos_c[hot_idx], num_salts)
-                                * num_salts
-                                + np.tile(np.arange(num_salts,
-                                                    dtype=np.int64),
-                                          len(hot_idx)))
-                    tbl = pa.concat_tables([cold, rep])
-                    part = np.concatenate([cold_part, rep_part])
             tbl = tbl.append_column(
                 "__part", pa.array(part, pa.int64()))
             return tbl.append_column(
@@ -500,9 +447,7 @@ def hash_join_via_groupby(left: "ray.data.Dataset", right: "ray.data.Dataset",
             merged = post(merged)
         return pa.Table.from_pandas(merged, preserve_index=False)
 
-    total_partitions = num_partitions + (
-        len(hot_sorted) * num_salts if hot_sorted is not None else 0)
-    return exchange_map_partitions(unioned, "__part", total_partitions,
+    return exchange_map_partitions(unioned, "__part", num_partitions,
                                    merge)
 
 
@@ -585,49 +530,3 @@ def lookup_sorted(handle, probe: np.ndarray) -> np.ndarray:
         raise KeyError("lookup_sorted: probe key missing from dimension")
     return vals[pos_c]
 
-
-def detect_hot_keys(ds: "ray.data.Dataset", key: str,
-                    frac_threshold: float = 0.01,
-                    capacity: int = 4096) -> np.ndarray:
-    """Find join keys heavy enough to need salting, in ONE bounded
-    streaming pass: per-block exact key counts are Misra–Gries-
-    compressed to <= ``capacity`` counters before anything moves
-    (``sketches._mg_compress``), one keyed exchange merges the
-    summaries, and a key is reported hot when even its LOWER bound
-    exceeds ``frac_threshold`` of the total row count — MG guarantees
-    every key with true frequency above the summary's decrement total
-    survives, so sizing ``capacity >> 1/frac_threshold`` makes the
-    detection exact (no false negatives for genuinely hot keys, and
-    the lower-bound test admits no false positives ever).
-
-    Pairs with ``hash_join_via_groupby(hot_keys=...)``: detect once on
-    the fact side, salt exactly what needs salting.  The sketch never
-    ships more than (blocks x capacity) rows regardless of key
-    cardinality — this is what makes skew detection affordable at
-    100 TB, where an exact groupby-count of the key column would be
-    its own all-to-all."""
-    from .sketches import _mg_compress
-
-    def summarize(tbl: pa.Table) -> pa.Table:
-        v, c = np.unique(
-            tbl.column(key).to_numpy(zero_copy_only=False)
-            .astype(np.int64, copy=False), return_counts=True)
-        c = c.astype(np.int64)
-        keep, lowered, _ = _mg_compress(c, capacity)
-        if keep is not None:
-            v = v[keep]
-            c = lowered
-        n = np.int64(len(tbl.column(key)))
-        return pa.table({
-            "k": pa.array(np.append(v, -1), pa.int64()),  # -1: total marker
-            "cnt": pa.array(np.append(c, n), pa.int64()),
-        })
-
-    summary = groupby_agg_partitioned(
-        ds.map_batches(summarize, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["k"], {"cnt": "sum"}).to_pandas()  # <= blocks*capacity rows
-    total = int(summary.loc[summary["k"] == -1, "cnt"].sum())
-    hot = summary[(summary["k"] != -1)
-                  & (summary["cnt"] > frac_threshold * total)]
-    return np.sort(hot["k"].to_numpy(np.int64))

@@ -55,7 +55,10 @@ from . import (
     tpch_final,
     tpch_more,
 )
+from .curation import _n_chars_hist
 from .joins import sorted_small
+from .tpch_more import (_anti_by_segment, _batch_partial, _cents_np,
+                        _tag_probe_custkeys)
 from ray.data.aggregate import Count, Max, Min, Sum
 
 
@@ -63,33 +66,9 @@ def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _cents_np(x: np.ndarray) -> np.ndarray:
-    return np.floor(x * 100.0 + 0.5).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Relational core (TPC-H-flavored)
 # ---------------------------------------------------------------------------
-
-def _batch_partial(t: pa.Table, keys: "list[str]",
-                   sums: "list[str]") -> pa.Table:
-    """Map-side combiner: collapse ONE Arrow batch to per-group
-    partial sums + a ``__n`` row count via Arrow's hash ``group_by``
-    (C++ kernels).  Ray 2.49's ``groupby().aggregate()`` runs a full
-    sort-shuffle of its INPUT rows even for a handful of groups —
-    measured 4.7 s of a 5 s q1 at sf0.1 — so every low-cardinality
-    aggregate pre-collapses each block to ≤ |groups| rows here and
-    lets the all-to-all move only partials.  At 100 TB this is the
-    difference between shuffling the table and shuffling KB."""
-    count_src = sums[0] if sums else keys[0]
-    g = t.group_by(keys).aggregate(
-        [(c, "sum") for c in sums] + [(count_src, "count")])
-    cols = {k: g.column(k) for k in keys}
-    for c in sums:
-        cols[c] = g.column(f"{c}_sum")
-    cols["__n"] = g.column(f"{count_src}_count")
-    return pa.table(cols)
-
 
 def q1_pricing_summary(sf_dir: str):
     """Pricing summary: groupby (returnflag, linestatus) with exact
@@ -792,6 +771,24 @@ def union_key_accounts(sf_dir: str):
                               Sum("acctbal_cents", alias_name="total_bal_cents")), ["role", "nationkey"]))
 
 
+def _priority_flags(batch: pa.Table) -> pa.Table:
+    """One (custkey, any 1-URGENT, any 5-LOW) row per custkey of an
+    orders batch: the per-block partial of the priority set ops."""
+    pri = batch.column("o_orderpriority")
+    u = pc.equal(pri, "1-URGENT").to_numpy(zero_copy_only=False)
+    l = pc.equal(pri, "5-LOW").to_numpy(zero_copy_only=False)
+    keep = u | l
+    df = pd.DataFrame({
+        "o_custkey": batch.column("o_custkey")
+        .to_numpy(zero_copy_only=False)[keep],
+        "u": u[keep].astype(np.int64),
+        "l": l[keep].astype(np.int64),
+    }).groupby("o_custkey", as_index=False).max()
+    return pa.Table.from_pandas(df, preserve_index=False).cast(
+        pa.schema([("o_custkey", pa.int64()), ("u", pa.int64()),
+                   ("l", pa.int64())]))
+
+
 def intersect_repeat_buyers(sf_dir: str):
     """INTERSECT (set op): customers who placed BOTH a 1-URGENT and a
     5-LOW order.  Per-batch partial collapses to one (custkey,
@@ -802,27 +799,12 @@ def intersect_repeat_buyers(sf_dir: str):
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    def flags_partial(batch: pa.Table) -> pa.Table:
-        pri = batch.column("o_orderpriority")
-        u = pc.equal(pri, "1-URGENT").to_numpy(zero_copy_only=False)
-        l = pc.equal(pri, "5-LOW").to_numpy(zero_copy_only=False)
-        keep = u | l
-        df = pd.DataFrame({
-            "o_custkey": batch.column("o_custkey")
-            .to_numpy(zero_copy_only=False)[keep],
-            "u": u[keep].astype(np.int64),
-            "l": l[keep].astype(np.int64),
-        }).groupby("o_custkey", as_index=False).max()
-        return pa.Table.from_pandas(df, preserve_index=False).cast(
-            pa.schema([("o_custkey", pa.int64()), ("u", pa.int64()),
-                       ("l", pa.int64())]))
-
     def both(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby("o_custkey", as_index=False).max()
         return g[(g["u"] > 0) & (g["l"] > 0)][["o_custkey"]]
 
     return sorted_small(hash_partitioned_map(
-        ds.map_batches(flags_partial, batch_format="pyarrow",
+        ds.map_batches(_priority_flags, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["o_custkey"], both), "o_custkey")
 
@@ -1453,40 +1435,13 @@ def lapsed_customers(sf_dir: str):
                     zero_copy_only=False)), pa.int64()),
         })
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        keys = pc.unique(t.column("o_custkey")).cast(pa.int64())
-        n = len(keys)
-        return pa.table({
-            "key": keys,
-            "seg": pa.nulls(n, pa.string()),  # null seg marks the probe side
-            "bal_cents": pa.nulls(n, pa.int64()),
-        })
-
     both = (cust.map_batches(tag_cust, batch_format="pyarrow",
                              zero_copy_batch=True)
-            .union(orders.map_batches(tag_orders, batch_format="pyarrow",
+            .union(orders.map_batches(_tag_probe_custkeys,
+                                      batch_format="pyarrow",
                                       zero_copy_batch=True)))
 
-    def anti(df: pd.DataFrame) -> pd.DataFrame:
-        is_probe = df["seg"].isna().to_numpy()
-        have = np.unique(df["key"].to_numpy()[is_probe])
-        c = df[~is_probe]
-        keys = c["key"].to_numpy()
-        if len(have):
-            pos = np.searchsorted(have, keys)
-            pos[pos == len(have)] = 0  # sentinel; equality check below
-            miss = have[pos] != keys
-        else:
-            miss = np.ones(len(keys), bool)
-        g = (c.loc[miss]
-             .groupby("seg", as_index=False, sort=False)
-             .agg(n_customers=("key", "size"),
-                  acctbal_cents=("bal_cents", "sum")))
-        g["n_customers"] = g["n_customers"].astype(np.int64)
-        g["acctbal_cents"] = g["acctbal_cents"].astype(np.int64)
-        return g.rename(columns={"seg": "c_mktsegment"})
-
-    out = hash_partitioned_map(both, ["key"], anti)
+    out = hash_partitioned_map(both, ["key"], _anti_by_segment)
     return sorted_small(groupby_agg_partitioned(
         out, ["c_mktsegment"],
         {"n_customers": "sum", "acctbal_cents": "sum"}), "c_mktsegment")
@@ -2250,27 +2205,12 @@ def except_urgent_only_buyers(sf_dir: str):
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    def flags_partial(batch: pa.Table) -> pa.Table:
-        pri = batch.column("o_orderpriority")
-        u = pc.equal(pri, "1-URGENT").to_numpy(zero_copy_only=False)
-        l = pc.equal(pri, "5-LOW").to_numpy(zero_copy_only=False)
-        keep = u | l
-        df = pd.DataFrame({
-            "o_custkey": batch.column("o_custkey")
-            .to_numpy(zero_copy_only=False)[keep],
-            "u": u[keep].astype(np.int64),
-            "l": l[keep].astype(np.int64),
-        }).groupby("o_custkey", as_index=False).max()
-        return pa.Table.from_pandas(df, preserve_index=False).cast(
-            pa.schema([("o_custkey", pa.int64()), ("u", pa.int64()),
-                       ("l", pa.int64())]))
-
     def urgent_minus_low(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby("o_custkey", as_index=False).max()
         return g[(g["u"] > 0) & (g["l"] == 0)][["o_custkey"]]
 
     return sorted_small(hash_partitioned_map(
-        ds.map_batches(flags_partial, batch_format="pyarrow",
+        ds.map_batches(_priority_flags, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["o_custkey"], urgent_minus_low), "o_custkey")
 
@@ -2398,15 +2338,9 @@ def filter_length_band(sf_dir: str, q_lo: float = 0.1, q_hi: float = 0.9):
 
     ds = _read(sf_dir, "documents", ["n_chars"])
 
-    def hist(batch: pa.Table) -> pa.Table:
-        v, c = np.unique(
-            batch.column("n_chars").to_numpy(zero_copy_only=False),
-            return_counts=True)
-        return pa.table({"n_chars": pa.array(v.astype(np.int64), pa.int64()),
-                         "cnt": pa.array(c.astype(np.int64), pa.int64())})
-
     counts = (groupby_agg_partitioned(
-        ds.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True),
+        ds.map_batches(_n_chars_hist, batch_format="pyarrow",
+                       zero_copy_batch=True),
         ["n_chars"], {"cnt": "sum"})
         .to_pandas().sort_values("n_chars"))
     vals = counts["n_chars"].to_numpy()

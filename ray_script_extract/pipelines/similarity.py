@@ -18,6 +18,7 @@ tests/test_similarity.py.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 import numpy as np
@@ -101,6 +102,17 @@ def kmeans_fit(mat: np.ndarray, n_clusters: int, n_iter: int = 10) -> np.ndarray
     return centroids
 
 
+def top_k_per_query(df: pd.DataFrame, k: int) -> pd.DataFrame:
+    """One query_id partition of scored candidates → each query's top
+    ``k`` (score desc, vec_id asc) as (query_id, vec_id, rank)."""
+    df = df.sort_values(["query_id", "score", "vec_id"],
+                        ascending=[True, False, True], kind="stable")
+    df = df.groupby("query_id", sort=False).head(k).copy()
+    df["rank"] = (df.groupby("query_id", sort=False).cumcount()
+                  + 1).astype(np.int64)
+    return df[["query_id", "vec_id", "rank"]]
+
+
 def knn_cosine_ivf(sf_dir: str, n_queries: int = 4, k: int = 5,
                    n_clusters: int = 16, n_probe: int = 4):
     """IVF approximate top-k: sampled fit → assign → probe →
@@ -153,15 +165,9 @@ def knn_cosine_ivf(sf_dir: str, n_queries: int = 4, k: int = 5,
 
     from .joins import hash_partitioned_map
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True], kind="stable")
-        df = df.groupby("query_id", sort=False).head(k).copy()
-        df["rank"] = (df.groupby("query_id", sort=False).cumcount()
-                      + 1).astype(np.int64)
-        return df[["query_id", "vec_id", "rank"]]
-
-    return sorted_small(hash_partitioned_map(scored, ["query_id"], topk), ["query_id", "rank"])
+    return sorted_small(hash_partitioned_map(
+        scored, ["query_id"], functools.partial(top_k_per_query, k=k)),
+        ["query_id", "rank"])
 
 
 _EMB_SEED = 99
@@ -532,15 +538,9 @@ def knn_cosine_sq8(sf_dir: str, n_queries: int = 4, k: int = 5):
 
     from .joins import hash_partitioned_map
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True], kind="stable")
-        df = df.groupby("query_id", sort=False).head(k).copy()
-        df["rank"] = (df.groupby("query_id", sort=False).cumcount()
-                      + 1).astype(np.int64)
-        return df[["query_id", "vec_id", "rank"]]
-
-    return sorted_small(hash_partitioned_map(scored, ["query_id"], topk), ["query_id", "rank"])
+    return sorted_small(hash_partitioned_map(
+        scored, ["query_id"], functools.partial(top_k_per_query, k=k)),
+        ["query_id", "rank"])
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ from .joins import (broadcast_int_lookup, broadcast_lookup_table,
 from .tpch_more import _batch_partial, _cents_np, _read, _ts
 
 
+
+def _supp_nation(t: pa.Table) -> pa.Table:
+    return pa.table({
+        "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
+        "s_nat": t.column("s_nationkey").cast(pa.int64())})
+
+
+def _supp_name(t: pa.Table) -> pa.Table:
+    return pa.table({
+        "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
+        "s_name": t.column("s_name")})
+
 # ---------------------------------------------------------------------------
 # Shared: budgeted broadcast of a FILTERED part projection
 # ---------------------------------------------------------------------------
@@ -176,17 +188,12 @@ def q2_min_cost_supplier(sf_dir: str, top_k: int = 100):
         # filter to the region inside the merge task
         supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
 
-        def s_proj(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
-                "s_nat": t.column("s_nationkey").cast(pa.int64())})
-
         def region_filter(df: pd.DataFrame) -> pd.DataFrame:
             keep = _member_mask(region_nations, df["s_nat"].to_numpy())
             return df.loc[keep, ["key", "unit", "supp"]]
 
         partials = hash_join_via_groupby(
-            partials, supp.map_batches(s_proj, batch_format="pyarrow",
+            partials, supp.map_batches(_supp_nation, batch_format="pyarrow",
                                        zero_copy_batch=True),
             "supp", "s_suppkey", post=region_filter,
             left_schema=pa.schema([("key", pa.int64()),
@@ -443,18 +450,13 @@ def q9_profit_by_nation(sf_dir: str):
 
         supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
 
-        def s_proj(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
-                "s_nat": t.column("s_nationkey").cast(pa.int64())})
-
         def fold(df: pd.DataFrame) -> pd.DataFrame:
             return (df[["l_orderkey", "s_nat", "profit_cents"]]
                     .groupby(["l_orderkey", "s_nat"], as_index=False,
                              sort=False).sum())
 
         keyed = hash_join_via_groupby(
-            keyed0, supp.map_batches(s_proj, batch_format="pyarrow",
+            keyed0, supp.map_batches(_supp_nation, batch_format="pyarrow",
                                      zero_copy_batch=True),
             "supp", "s_suppkey", post=fold,
             left_schema=pa.schema([("l_orderkey", pa.int64()),
@@ -581,17 +583,12 @@ def q11_important_parts(sf_dir: str):
     if supp_nat is None:
         supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
 
-        def s_proj(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
-                "s_nat": t.column("s_nationkey").cast(pa.int64())})
-
         def nat_filter(df: pd.DataFrame) -> pd.DataFrame:
             return df.loc[df["s_nat"].to_numpy() == nat_key,
                           ["p_partkey", "value_cents"]]
 
         partials = hash_join_via_groupby(
-            partials, supp.map_batches(s_proj, batch_format="pyarrow",
+            partials, supp.map_batches(_supp_nation, batch_format="pyarrow",
                                        zero_copy_batch=True),
             "supp", "s_suppkey", post=nat_filter,
             left_schema=pa.schema([("p_partkey", pa.int64()),
@@ -739,13 +736,8 @@ def q20_promotion_suppliers(sf_dir: str, min_qty: int = _Q20_MIN_QTY):
     else:
         supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
 
-        def s_proj(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
-                "s_name": t.column("s_name")})
-
         out = hash_join_via_groupby(
-            qual, supp.map_batches(s_proj, batch_format="pyarrow",
+            qual, supp.map_batches(_supp_name, batch_format="pyarrow",
                                    zero_copy_batch=True),
             "s_suppkey", "s_suppkey",
             post=lambda df: df[["s_name", "total_qty"]],
@@ -879,13 +871,8 @@ def q21_waiting_suppliers(sf_dir: str, top_k: int = 100):
     else:
         supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
 
-        def s_proj(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "s_suppkey": t.column("s_suppkey").cast(pa.int64()),
-                "s_name": t.column("s_name")})
-
         out = hash_join_via_groupby(
-            per_supp, supp.map_batches(s_proj, batch_format="pyarrow",
+            per_supp, supp.map_batches(_supp_name, batch_format="pyarrow",
                                        zero_copy_batch=True),
             "s_suppkey", "s_suppkey",
             post=lambda df: df[["s_name", "numwait"]],

@@ -59,8 +59,14 @@ def _cents_np(x: np.ndarray) -> np.ndarray:
 
 
 def _batch_partial(t: pa.Table, keys, sums) -> pa.Table:
-    """Map-side combiner (same contract as queries._batch_partial):
-    collapse one Arrow batch to per-group partial sums + ``__n``."""
+    """Map-side combiner: collapse ONE Arrow batch to per-group
+    partial sums + a ``__n`` row count via Arrow's hash ``group_by``
+    (C++ kernels).  Ray 2.49's ``groupby().aggregate()`` runs a full
+    sort-shuffle of its INPUT rows even for a handful of groups —
+    measured 4.7 s of a 5 s q1 at sf0.1 — so every low-cardinality
+    aggregate pre-collapses each block to ≤ |groups| rows here and
+    lets the all-to-all move only partials.  At 100 TB this is the
+    difference between shuffling the table and shuffling KB."""
     count_src = sums[0] if sums else keys[0]
     g = t.group_by(keys).aggregate(
         [(c, "sum") for c in sums] + [(count_src, "count")])
@@ -69,6 +75,54 @@ def _batch_partial(t: pa.Table, keys, sums) -> pa.Table:
         cols[c] = g.column(f"{c}_sum")
     cols["__n"] = g.column(f"{count_src}_count")
     return pa.table(cols)
+
+
+def _part_promo(t: pa.Table) -> pa.Table:
+    return pa.table({
+        "p_partkey": t.column("p_partkey").cast(pa.int64()),
+        "is_promo": pc.equal(t.column("p_type"), "PROMO").cast(pa.int64()),
+    })
+
+
+def _part_brand_size(t: pa.Table) -> pa.Table:
+    return pa.table({
+        "p_partkey": t.column("p_partkey").cast(pa.int64()),
+        "p_brand": t.column("p_brand"),
+        "p_size": t.column("p_size").cast(pa.int64()),
+    })
+
+
+def _tag_probe_custkeys(t: pa.Table) -> pa.Table:
+    """The probe side of a customer anti-join: the batch's distinct
+    order custkeys, with a null ``seg`` marking them as probes."""
+    keys = pc.unique(t.column("o_custkey")).cast(pa.int64())
+    n = len(keys)
+    return pa.table({
+        "key": keys,
+        "seg": pa.nulls(n, pa.string()),
+        "bal_cents": pa.nulls(n, pa.int64()),
+    })
+
+
+def _anti_by_segment(df: pd.DataFrame) -> pd.DataFrame:
+    """One custkey partition of a customer anti-join: the customers no
+    probe row matches, counted and acctbal-summed per segment."""
+    is_probe = df["seg"].isna().to_numpy()
+    have = np.unique(df["key"].to_numpy()[is_probe])
+    c = df[~is_probe]
+    keys = c["key"].to_numpy()
+    if len(have):
+        pos = np.searchsorted(have, keys)
+        pos[pos == len(have)] = 0  # sentinel; equality check below
+        miss = have[pos] != keys
+    else:
+        miss = np.ones(len(keys), bool)
+    g = (c.loc[miss].groupby("seg", as_index=False, sort=False)
+         .agg(n_customers=("key", "size"),
+              acctbal_cents=("bal_cents", "sum")))
+    g["n_customers"] = g["n_customers"].astype(np.int64)
+    g["acctbal_cents"] = g["acctbal_cents"].astype(np.int64)
+    return g.rename(columns={"seg": "c_mktsegment"})
 
 
 def _ts(day: str) -> pa.Scalar:
@@ -363,13 +417,6 @@ def q14_promo_revenue(sf_dir: str):
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"])
 
-    def p_proj(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "p_partkey": t.column("p_partkey").cast(pa.int64()),
-            "is_promo": pc.equal(t.column("p_type"),
-                                 "PROMO").cast(pa.int64()),
-        })
-
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         cents = df["cents"].to_numpy()
         promo = df["is_promo"].to_numpy()
@@ -381,7 +428,7 @@ def q14_promo_revenue(sf_dir: str):
     joined = hash_join_via_groupby(
         li.map_batches(li_partial, batch_format="pyarrow",
                        zero_copy_batch=True),
-        part.map_batches(p_proj, batch_format="pyarrow",
+        part.map_batches(_part_promo, batch_format="pyarrow",
                          zero_copy_batch=True),
         "l_partkey", "p_partkey", post=finish,
         left_schema=pa.schema([("l_partkey", pa.int64()),
@@ -459,20 +506,13 @@ def q16_supplier_variety(sf_dir: str):
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
 
-    def p_proj(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "p_partkey": t.column("p_partkey").cast(pa.int64()),
-            "p_brand": t.column("p_brand"),
-            "p_size": t.column("p_size").cast(pa.int64()),
-        })
-
     def pre_distinct(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["p_brand", "p_size", "l_suppkey"])
 
     joined = hash_join_via_groupby(
         li.map_batches(pairs, batch_format="pyarrow",
                        zero_copy_batch=True),
-        part.map_batches(p_proj, batch_format="pyarrow",
+        part.map_batches(_part_brand_size, batch_format="pyarrow",
                          zero_copy_batch=True),
         "l_partkey", "p_partkey", dedupe_left=True,
         post=lambda df: pre_distinct(df)[["p_brand", "p_size",
@@ -592,13 +632,6 @@ def q19_disjunctive_revenue(sf_dir: str):
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
 
-    def p_proj(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "p_partkey": t.column("p_partkey").cast(pa.int64()),
-            "p_brand": t.column("p_brand"),
-            "p_size": t.column("p_size").cast(pa.int64()),
-        })
-
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         m = _mask(df["p_brand"].to_numpy(), df["p_size"].to_numpy(),
                   df["qty_cents"].to_numpy())
@@ -610,7 +643,7 @@ def q19_disjunctive_revenue(sf_dir: str):
     joined = hash_join_via_groupby(
         li.map_batches(li_partial, batch_format="pyarrow",
                        zero_copy_batch=True),
-        part.map_batches(p_proj, batch_format="pyarrow",
+        part.map_batches(_part_brand_size, batch_format="pyarrow",
                          zero_copy_batch=True),
         "l_partkey", "p_partkey", post=finish,
         left_schema=pa.schema([("l_partkey", pa.int64()),
@@ -702,39 +735,13 @@ def q22_idle_rich_customers(sf_dir: str):
                 pa.int64()),
         })
 
-    def tag_probe(t: pa.Table) -> pa.Table:
-        keys = pc.unique(t.column("o_custkey")).cast(pa.int64())
-        n = len(keys)
-        return pa.table({
-            "key": keys,
-            "seg": pa.nulls(n, pa.string()),
-            "bal_cents": pa.nulls(n, pa.int64()),
-        })
-
     both = (cust_pool.map_batches(tag_cust, batch_format="pyarrow",
                                   zero_copy_batch=True)
-            .union(orders.map_batches(tag_probe, batch_format="pyarrow",
+            .union(orders.map_batches(_tag_probe_custkeys,
+                                      batch_format="pyarrow",
                                       zero_copy_batch=True)))
 
-    def anti(df: pd.DataFrame) -> pd.DataFrame:
-        is_probe = df["seg"].isna().to_numpy()
-        have = np.unique(df["key"].to_numpy()[is_probe])
-        c = df[~is_probe]
-        keys = c["key"].to_numpy()
-        if len(have):
-            pos = np.searchsorted(have, keys)
-            pos[pos == len(have)] = 0
-            miss = have[pos] != keys
-        else:
-            miss = np.ones(len(keys), bool)
-        g = (c.loc[miss].groupby("seg", as_index=False, sort=False)
-             .agg(n_customers=("key", "size"),
-                  acctbal_cents=("bal_cents", "sum")))
-        g["n_customers"] = g["n_customers"].astype(np.int64)
-        g["acctbal_cents"] = g["acctbal_cents"].astype(np.int64)
-        return g.rename(columns={"seg": "c_mktsegment"})
-
-    out = hash_partitioned_map(both, ["key"], anti)
+    out = hash_partitioned_map(both, ["key"], _anti_by_segment)
     return sorted_small(groupby_agg_partitioned(
         out, ["c_mktsegment"],
         {"n_customers": "sum", "acctbal_cents": "sum"}), "c_mktsegment")
@@ -1151,13 +1158,6 @@ def q8_market_share(sf_dir: str):
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"])
 
-    def p_proj(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "p_partkey": t.column("p_partkey").cast(pa.int64()),
-            "is_promo": pc.equal(t.column("p_type"),
-                                 "PROMO").cast(pa.int64()),
-        })
-
     def promo_collapse(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["is_promo"] == 1]
         g = (df.groupby(["l_suppkey", "l_orderkey"], as_index=False)
@@ -1168,7 +1168,7 @@ def q8_market_share(sf_dir: str):
     j1 = hash_join_via_groupby(
         li.map_batches(li_proj, batch_format="pyarrow",
                        zero_copy_batch=True),
-        part.map_batches(p_proj, batch_format="pyarrow",
+        part.map_batches(_part_promo, batch_format="pyarrow",
                          zero_copy_batch=True),
         "l_partkey", "p_partkey", post=promo_collapse,
         left_schema=pa.schema([("l_partkey", pa.int64()),

@@ -22,11 +22,3 @@ DOC_SCHEMA = pa.schema([
     pa.field("doc_id", pa.string()),
     pa.field("spans", pa.list_(SPAN_STRUCT)),
 ])
-
-# Input span kinds (what a row may contain, FIXTURES.md §1)
-INPUT_KINDS = ("pdf_page_xml", "pdf_raw", "html", "text", "image", "media")
-
-# Output span kinds: the reference's JSON type names plus passthrough media
-OUTPUT_KINDS = ("Scene", "Dialogue", "Character", "Parens", "Action",
-                "Transition", "Shot", "New Act", "Text", "Title", "Author",
-                "Page Header", "The End", "Fly Page Text", "image", "media")

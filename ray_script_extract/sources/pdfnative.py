@@ -53,8 +53,8 @@ Supported subset (matches FIXTURES.md §4):
   emitted ``<fontspec color>`` so Colors_List revision inference
   (``ParseText.php:691-989``) fires from raw PDFs.  Each content
   stream is read from one ``_RE_CS_OP.split`` (``_cs_fields``); a
-  stream the split cannot stand for goes through ``_content_ops``, one
-  operation per regex match, into the same interpreter body;
+  stream the split cannot stand for goes through ``_content_ops``, the
+  ``_Lexer.parse_object`` loop, into the same interpreter body;
 * font family from /BaseFont (subset prefix stripped); Bold /
   Italic / Oblique name flags — OR'd with /FontDescriptor /Flags
   bits 7 (italic) and 19 (force-bold) — wrap runs in ``<b>``/``<i>``
@@ -95,6 +95,9 @@ _OBJ_RE = re.compile(rb"(?<!\d)(\d++)\s++(\d++)\s++obj")
 # what follows a stream body that its direct /Length ends: whitespace,
 # then the endstream keyword
 _RE_ENDSTREAM = re.compile(rb"[\x00\t\n\x0c\r ]*+endstream")
+# the endstream that closes a stream object: where a body ends that has
+# no direct /Length
+_RE_STREAM_END = re.compile(rb"endstream[\x00\t\n\x0c\r ]*+endobj")
 # characters XML 1.0 forbids: most C0 controls, surrogates and the
 # U+FFFE/U+FFFF non-characters; real-world PDFs can decode to them
 _XML_INVALID = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -322,7 +325,7 @@ class _Lexer:
         body = self.pos
         length = d.get("/Length", 0)
         if isinstance(length, Ref):
-            length = 0  # resolved later by endstream scan
+            length = 0  # its object may come later: not resolvable here
         if length:
             data = self.data[body:body + int(length)]
             # endstream right after /Length bytes ends the body, so
@@ -331,10 +334,13 @@ class _Lexer:
             if m:
                 self.pos = m.end()
                 return Stream(d, data)
-        # no /Length, or one endstream does not follow: the body ends
-        # at the first endstream
-        end = self.data.find(b"endstream", body)
-        if not length:
+            # a wrong /Length: resume after the first endstream
+            end = self.data.find(b"endstream", body)
+        else:
+            # no direct /Length: the body ends at the endstream that
+            # closes the object, else at the first endstream
+            m = _RE_STREAM_END.search(self.data, body)
+            end = m.start() if m else self.data.find(b"endstream", body)
             data = self.data[body:end if end != -1 else len(self.data)]
             data = data.rstrip(b"\r\n")
         self.pos = (end + len(b"endstream") if end != -1
@@ -356,8 +362,8 @@ def _hex_bytes(inner: bytes) -> bytes:
 # operator.  Every token is possessive or atomic, so a match can only
 # split the bytes the way ``_Lexer`` does; whatever the pattern does not
 # cover (dicts, nested strings, comments, refs, names with #xx escapes,
-# keywords inside arrays, stray delimiters) makes the match fail and
-# that one operation is read by ``_Lexer`` instead.
+# keywords inside arrays, stray delimiters) leaves a non-blank gap in
+# the split, and the whole stream is read by ``_Lexer`` instead.
 _CS_WS = rb"[\x00\t\n\x0c\r ]*+"
 _CS_NUM = rb"[+-]?+(?:\d++(?:\.\d*+)?+|\.\d++)"
 _CS_NAME = rb"/[^\x00\t\n\x0c\r ()<>\[\]{}/%#]*+"
@@ -368,21 +374,23 @@ _CS_ARRAY = rb"\[%s(?:%s%s)*+\]" % (_CS_WS, _CS_ITEM, _CS_WS)
 _CS_TOKEN = rb"(?:%s|%s|%s|%s|%s)" % (_CS_NUM, _CS_NAME, _CS_STR, _CS_HEX,
                                       _CS_ARRAY)
 # groups: numbers-only operands | one escape-free string | any operands,
-# then the operator
+# then the operator.  A number glued to the next one ("1.2.3", "1-1") is
+# two tokens, so the numbers-only group, whose tokens float-only
+# operators read by a whitespace split, leaves it to the any-operands one
 _RE_CS_OP = re.compile(
-    rb"%s(?:((?:%s%s)++)|\(([^\\()]*+)\)%s|((?:%s%s)++))?([A-Za-z'\"*]++)"
+    rb"%s(?:((?:%s(?![+\-.\d])%s)++)|\(([^\\()]*+)\)%s|((?:%s%s)++))?"
+    rb"([A-Za-z'\"*]++)"
     % (_CS_WS, _CS_NUM, _CS_WS, _CS_WS, _CS_TOKEN, _CS_WS))
-_RE_CS_NUM = re.compile(_CS_NUM)
 _RE_CS_TOKEN = re.compile(_CS_TOKEN)
 _RE_NON_HEX = re.compile(rb"[^0-9A-Fa-f]")
 _RE_STR_ESCAPE = re.compile(rb"\\(?:([0-7]{1,3})|(\r\n?|\n)|([\s\S]))")
 _STR_ESCAPES = {0x6E: b"\n", 0x72: b"\r", 0x74: b"\t", 0x62: b"\b",
                 0x66: b"\x0c", 0x28: b"(", 0x29: b")", 0x5C: b"\\"}
-# what a fast match takes for an operator but the lexer does not:
-# true/false/null are values, and an operator starting with R may be
-# the R of an ``n g R`` reference (checked on the first byte)
-_CS_NOT_OPERATORS = (b"true", b"false", b"null")
-_CS_SPLIT_MISREADS = frozenset(_CS_NOT_OPERATORS + (b"BI",))
+# what the split takes for an operator but the lexer does not:
+# true/false/null are values, BI opens raw inline image bytes, and an
+# operator starting with R may be the R of an ``n g R`` reference
+# (checked on the first byte)
+_CS_SPLIT_MISREADS = frozenset((b"true", b"false", b"null", b"BI"))
 # operators that read every operand through float(), so a numbers-only
 # operation can hand them the split's byte tokens untyped
 _CS_FLOAT_OPS = frozenset((b"Tm", b"Td", b"TD", b"TL", b"Tc", b"Tw", b"Tz",
@@ -399,8 +407,8 @@ def _unescape(m: "re.Match") -> bytes:
 
 
 def _cs_operands(args: bytes) -> List:
-    """Operand tokens of a fast-matched operation, as ``_Lexer`` types
-    them."""
+    """Operand tokens of one operation of the split, as ``_Lexer``
+    types them."""
     out: List = []
     for tok in _RE_CS_TOKEN.findall(args):
         c = tok[0]
@@ -449,42 +457,19 @@ def _content_ops(data: bytes) -> Iterator[Tuple[bytes, List]]:
     None).  ``BI`` yields ``[params, sample]``: the inline image's raw
     parameter dict and its sample bytes.  Operands after the last
     operator are dropped."""
-    match = _RE_CS_OP.match
-    numbers = _RE_CS_NUM.findall
     lex = _Lexer(data)
-    # trailing whitespace holds no operation: stop before it
-    pos, n = 0, len(data.rstrip(_WS))
-    while pos < n:
-        m = match(data, pos)
-        op = m.group(4) if m is not None else None
-        if (op is not None and op[0] != 0x52  # 'R'
-                and op not in _CS_NOT_OPERATORS):
-            nums, plain, args, _ = m.groups()
-            if nums is not None:
-                operands = [float(t) if 0x2E in t else int(t)
-                            for t in numbers(nums)]
-            elif plain is not None:
-                operands = [plain]
-            elif args is not None:
-                operands = _cs_operands(args)
-            else:
-                operands = []
-            lex.pos = m.end()
-        else:
-            lex.pos = pos
-            operands = []
-            while True:
-                obj = lex.parse_object()
-                if isinstance(obj, Keyword):
-                    op = obj.name
-                    break
-                if obj is None and lex.pos >= n:
-                    return
-                operands.append(obj)
-        if op == b"BI":
+    operands: List = []
+    while True:
+        obj = lex.parse_object()
+        if not isinstance(obj, Keyword):
+            if obj is None and lex.pos >= len(data):
+                return
+            operands.append(obj)
+            continue
+        if obj.name == b"BI":
             operands = list(_inline_image(lex))
-        yield op, operands
-        pos = lex.pos
+        yield obj.name, operands
+        operands = []
 
 
 def _cs_fields(data: bytes) -> List:
@@ -1851,15 +1836,6 @@ def pdf_page_records(raw: bytes) -> Tuple[List[PageRecord], List[List[Dict]]]:
 def pdf_to_page_xml(raw: bytes) -> List[str]:
     """PDF bytes → list of pdftohtml-style <page> XML strings."""
     return pdf_to_page_xml_and_media(raw)[0]
-
-
-def pdf_media_refs(raw: bytes) -> List[List[Dict]]:
-    """Per-page image XObject references: for each page, a list of
-    ``{ref, width, height, top, left}`` dicts in paint order — the
-    content-addressed media spans the interleaved document model
-    carries alongside text (the reference's pdftohtml text path drops
-    images entirely, SURVEY §1.2; this is a new-capability tier)."""
-    return pdf_page_records(raw)[1]
 
 
 def pdf_to_page_xml_and_media(raw: bytes

@@ -59,10 +59,9 @@ def _convert_format_marks(content: str) -> str:
     return content
 
 
-def write_fountain(objects: List[ScriptObject], for_fdx: bool = False) -> str:
-    """``for_fdx`` enables the reference's hacked-Screenplain markers:
-    ``|`` Text, ``&`` Shot, ``@`` Act, trimmed uppercase characters
-    (WriteOutput.php:86-124)."""
+def write_fountain(objects: List[ScriptObject]) -> str:
+    """Fountain text of ``objects`` (WriteOutput.php:86-124, without the
+    FDX-only markers)."""
     body = ""
     title = ""
     author = ""
@@ -87,26 +86,20 @@ def write_fountain(objects: List[ScriptObject], for_fdx: bool = False) -> str:
         type_ = o.type
         content = _convert_format_marks(o.content)
         upper = content.upper()
-        if type_ == "Text" and for_fdx:
-            body += "\n|" + content
-        elif type_ in ("Text", "Action"):
+        if type_ in ("Text", "Action"):
             if matched_as_transition(content):
                 content += " "
             if matched_as_slug(content):
                 content = " " + content
             body += "\n" + content
         elif type_ == "Character":
-            body += "\n" + (upper.strip() if for_fdx else upper)
+            body += "\n" + upper
             if o.is_dual_line:
                 body += "^"
         elif type_ in ("Dialog", "Paren"):
             if content.strip() == "":
                 content = "  "
             body += content
-        elif type_ == "Shot" and for_fdx:
-            body += "\n&" + upper
-        elif type_ == "Act" and for_fdx:
-            body += "\n@" + upper
         elif type_ in ("Shot", "Act", "Slugline"):
             if ((matched_as_transition(upper) or not matched_as_slug(upper))
                     and upper.strip() != ""):

@@ -119,16 +119,11 @@ class ExtractorActor:
 
         Every document's records go into per-batch column lists, and
         the span ``ListArray`` is built from them once.  A document
-        over ``MAX_DOC_BYTES`` (by the ``doc_bytes`` column when an
-        upstream stage added it) gets no spans."""
+        whose span texts total over ``MAX_DOC_BYTES`` of UTF-8 gets no
+        spans."""
         doc_ids = batch.column("doc_id").to_pylist()
         spans_in = batch.column("spans").combine_chunks()
-        if "doc_bytes" in batch.column_names:
-            sizes = batch.column("doc_bytes").to_pylist()
-        elif len(batch):
-            sizes = _per_row_text_bytes(spans_in).tolist()
-        else:
-            sizes = []
+        sizes = _per_row_text_bytes(spans_in).tolist() if len(batch) else []
         kinds: List[str] = []
         texts: List[str] = []
         refs: List[str] = []
@@ -144,7 +139,7 @@ class ExtractorActor:
         try:
             for doc_id, spans, size in zip(doc_ids, spans_in.to_pylist(),
                                            sizes):
-                if size is None or size <= self.MAX_DOC_BYTES:
+                if size <= self.MAX_DOC_BYTES:
                     records = self.extract_doc(doc_id, spans or [])
                     if records:
                         k, t, r = zip(*records)

@@ -1,11 +1,11 @@
-"""Per-document size stats for the extract stage's size guard.
+"""Per-document size stats.
 
 ``doc_bytes`` is the UTF-8 byte total of a document's span texts,
 computed vectorized (Arrow buffer arithmetic, no Python loop).  The
 extract stage rejects a document above ``ExtractorActor.MAX_DOC_BYTES``
-by it, as the reference rejects an oversized upload: it reads the
-``doc_bytes`` column that ``add_size_stats`` appends when one is
-there, and computes the same sum itself when it is not.
+by this sum, as the reference rejects an oversized upload; it computes
+the sum itself with ``_per_row_text_bytes``.  Nothing in the program
+reads the ``doc_bytes`` column that ``add_size_stats`` appends.
 """
 
 from __future__ import annotations

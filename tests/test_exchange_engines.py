@@ -1,55 +1,13 @@
 """Edge cases of the raw-task exchange (``exchange_map_partitions`` in
-pipelines/joins.py), the backbone under every keyed op: hot-key salting
-widens the partition-id space, untagged empty blocks and empty
-partitions must schedule nothing, and an all-empty exchange keeps its
-declared schema through ``sorted_small``.  The join, left-join null
+pipelines/joins.py), the backbone under every keyed op: untagged empty
+blocks and empty partitions must schedule nothing, and an all-empty
+exchange keeps its declared schema through ``sorted_small``.  The join, left-join null
 surface and keyed-window shapes it carries are held to their DuckDB
 oracles in tests/test_random_sf_differential.py.
 """
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
-
-
-def _norm(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_salted_join_equals_unsalted():
-    """Hot-key salting extends the partition-id space past
-    num_partitions — the exchange must size its reduce width to
-    include every salted partition, and the salted join must return
-    exactly the unsalted join's rows."""
-    import ray.data
-
-    from ray_script_extract.pipelines.joins import hash_join_via_groupby
-
-    n = 20_000
-    keys = np.where(np.arange(n) % 3 == 0, 7, np.arange(n) % 500)
-
-    def build(hot_keys):
-        left = ray.data.from_arrow(pa.table({
-            "k": pa.array(keys, pa.int64()),
-            "v": pa.array(np.arange(n), pa.int64()),
-        })).repartition(8)
-        right = ray.data.from_arrow(pa.table({
-            "rk": pa.array(np.arange(500), pa.int64()),
-            "w": pa.array(np.arange(500) * 10, pa.int64()),
-        })).repartition(4)
-        out = hash_join_via_groupby(
-            left, right, "k", "rk",
-            left_schema=pa.schema([("k", pa.int64()), ("v", pa.int64())]),
-            right_schema=pa.schema([("rk", pa.int64()), ("w", pa.int64())]),
-            hot_keys=hot_keys, num_salts=4)
-        return out.to_pandas()
-
-    salted = build(np.array([7], np.int64))
-    assert len(salted) == n
-    pd.testing.assert_frame_equal(_norm(salted), _norm(build(None)))
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -16,7 +16,7 @@ import hashlib
 import zlib
 
 from ray_script_extract.sources.pdfnative import (PdfDocument,
-                                                  pdf_media_refs,
+                                                  pdf_page_records,
                                                   pdf_to_page_xml)
 
 
@@ -80,7 +80,7 @@ def test_inline_image_media_span_and_tokenizer_survival():
                b"BI /W 4 /H 2 /BPC 8 /CS /G ID " + sample + b" EI\nQ\n"
                b"BT /F1 12 Tf 1 0 0 1 72 600 Tm (after) Tj ET")
     pdf = _mini_pdf(content)
-    (page_media,) = pdf_media_refs(pdf)
+    (page_media,) = pdf_page_records(pdf)[1]
     assert len(page_media) == 1
     mref = page_media[0]
     assert mref["ref"] == ("img://sha256/"
@@ -94,7 +94,7 @@ def test_inline_image_media_span_and_tokenizer_survival():
 
 def test_inline_image_without_dims_defaults_zero():
     content = b"BI ID \x01\x02 EI\nBT /F1 12 Tf (t) Tj ET"
-    (page_media,) = pdf_media_refs(_mini_pdf(content))
+    (page_media,) = pdf_page_records(_mini_pdf(content))[1]
     assert page_media[0]["width"] == 0 and page_media[0]["height"] == 0
 
 

@@ -53,12 +53,11 @@ def test_dict_roundtrip(d):
     assert parsed == {f"/{k}": v for k, v in d.items()}
 
 
-# -- content-stream tokenizer: one regex match per operation ------------
-# ``_content_ops`` must read every content stream exactly as the
-# ``_Lexer.parse_object`` loop below does (the interpreter's tokenizer
-# before the operation-level fast path): same operators, same operands
-# with the same types, including where the fast path hands an operation
-# to the lexer.
+# -- content-stream tokenizer: the lexer loop ---------------------------
+# ``_content_ops``, the reader for streams the split cannot stand for,
+# must read every content stream exactly as the ``_Lexer.parse_object``
+# loop below does: same operators, same operands with the same types,
+# inline images included.
 
 import re  # noqa: E402
 
@@ -171,20 +170,6 @@ _TEXT_PAGE = (b"BT\n/F1 12 Tf\n1 0 0 1 108 704 Tm\n(EXT. VOW - NIGHT) Tj\n"
               b"/F2 10.5 Tf 2 Tr 1.5 Tc 3 Tw 90 Tz T* (next) ' ET\n")
 
 
-def test_text_page_needs_no_lexer_fallback(monkeypatch):
-    """The operations a text page is made of stay on the fast path."""
-    expected = _ops(_lexer_ops(_TEXT_PAGE))
-
-    def fallback(self):
-        raise AssertionError("lexer fallback on a plain text page")
-
-    monkeypatch.setattr(_Lexer, "parse_object", fallback)
-    assert _ops(_content_ops(_TEXT_PAGE)) == expected
-    assert [op for op, _ in expected] == [
-        b"BT", b"Tf", b"Tm", b"Tj", b"Td", b"Tj", b"TJ", b"rg", b"Tf",
-        b"Tr", b"Tc", b"Tw", b"Tz", b"T*", b"'", b"ET"]
-
-
 @pytest.mark.parametrize("data", _TOKENS)
 def test_each_token_alone_and_before_an_operator(data):
     for stream in (data, data + b" Tj", b"1 2 " + data + b"\nTm (x)Tj"):
@@ -284,6 +269,17 @@ def test_text_page_takes_the_split(monkeypatch):
 
     monkeypatch.setattr(pdfnative, "_content_ops", no_fallback)
     assert _runs(_TEXT_PAGE) == expected
+
+
+@pytest.mark.parametrize("glued", [b"1.2.30 1 -1 0 0 0 cm",
+                                    b"5 1-1 0 0 0 0 Tm", b"1.5.5 2 Td"])
+def test_glued_numbers_read_as_the_lexer_does(glued):
+    """A number glued to the next one is two operands to the lexer; the
+    split must not hand it to a float-only operator as one token."""
+    data = b"BT /F1 12 Tf 1 0 0 1 72 700 Tm " + glued + b" (x) Tj ET"
+    got = _runs(data)
+    assert got == _runs(data, pdfnative._cs_op_fields)
+    assert got[0][0][0] == "x"
 
 
 @pytest.mark.parametrize("odd", [

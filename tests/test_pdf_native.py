@@ -216,6 +216,29 @@ def test_endstream_text_in_a_stream_body_ends_nothing(line):
     assert _font_names(PdfDocument(pdf))[1] == "/Courier"
 
 
+@pytest.mark.parametrize("line", [
+    "see endstream 1 0 obj here",
+    "see endstream trailer here",
+])
+def test_endstream_text_in_a_body_with_indirect_length_ends_nothing(line):
+    """A body whose /Length is an indirect ref (its object comes after
+    the stream, so the scan cannot resolve it there) ends at the
+    ``endstream`` that closes the object, not at ``endstream`` text."""
+    import re
+
+    from ray_script_extract.sources.pdfnative import pdf_page_records
+
+    direct = build_pdf([[(72, 108, "INT. HOUSE - DAY"), (96, 108, line)]],
+                       compress=False)
+    (length,) = re.findall(rb"/Length (\d+)", direct)
+    indirect = _before_xref(
+        direct.replace(b"/Length " + length, b"/Length 99 0 R"),
+        b"99 0 obj " + length + b" endobj\n")
+    assert pdf_page_records(indirect) == pdf_page_records(direct)
+    assert [f.value for f in pdf_page_records(direct)[0][0].fragments] == [
+        "INT. HOUSE - DAY", line]
+
+
 def test_object_header_in_a_string_defines_nothing():
     pdf = _before_xref(build_pdf([screenplay_pdf_lines(SCENES_1)]),
                        b"90 0 obj\n<< /Title (a 2 0 obj b) >>\nendobj\n")

@@ -5,10 +5,11 @@ the page-XML round trip gives.
 typed page records (``pdfnative.pdf_page_records``) straight into line
 assembly.  The reference it must match is the serializer plus the
 ``pdf_page_xml`` input path: ``parse_pages_xml(pdf_to_page_xml(raw))``
-with ``pdf_media_refs(raw)``.  The differential below runs both on
-every kind of PDF the suite builds, plus the edge cases the XML round
-trip normalizes (line ends, control characters, markup characters,
-``%g``-rounded sizes, nested bold/italic).
+with the page records' media, ``pdf_page_records(raw)[1]``.  The
+differential below runs both on every kind of PDF the suite builds,
+plus the edge cases the XML round trip normalizes (line ends, control
+characters, markup characters, ``%g``-rounded sizes, nested
+bold/italic).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from ray_script_extract.sources import pdfnative
 from ray_script_extract.sources.pdf_fixtures import (build_pdf,
                                                      helvetica_font_obj,
                                                      screenplay_pdf_lines)
-from ray_script_extract.sources.pdfnative import (pdf_media_refs,
-                                                  pdf_page_records,
+from ray_script_extract.sources.pdfnative import (pdf_page_records,
                                                   pdf_to_page_xml)
 from tests.test_pdf_encodings import WINANSI_FONT
 from tests.test_pdf_inline_tounicode import _CMAP, _FONT_TU, _mini_pdf
@@ -284,7 +284,7 @@ def test_raw_path_equals_xml_reference(name, raw):
     objects, media = extract_pdf_raw_document_with_media(
         base64.b64encode(raw).decode("ascii"))
     assert _objects(objects) == _objects(ref_objects)
-    assert media == pdf_media_refs(raw)
+    assert media == pdf_page_records(raw)[1]
     _, state = parse_page_records_full(pdf_page_records(raw)[0])
     assert _state(state) == _state(ref_state)
     assert (json.dumps(convert_pdf_raw_document(raw))
