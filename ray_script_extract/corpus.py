@@ -230,29 +230,3 @@ def write_corpus_parquet(num_docs: int, out_dir: str, seed: int = 42,
     ray.get([write_shard.remote(s, c, p)
              for (s, c), p in zip(shards, paths)])
     return out_dir
-
-
-def corpus_dataset(num_docs: int, seed: int = 42, skewed: bool = True,
-                   docs_per_block: int = 200):
-    """A lazy ray.data.Dataset over the synthetic corpus.
-
-    Generation happens INSIDE tasks (``flat_map`` over shard descriptors),
-    so the driver never materializes the corpus — the pattern that holds
-    at 10^12 docs where shard descriptors, not documents, are the
-    driver-side state.
-    """
-    import ray.data
-
-    from .pipelines import tune_data_context
-
-    tune_data_context()
-    shards = [{"start": s, "count": min(docs_per_block, num_docs - s),
-               "seed": seed, "skewed": skewed}
-              for s in range(0, num_docs, docs_per_block)]
-
-    def expand(shard: Dict) -> List[Dict]:
-        return [make_doc(shard["seed"], i,
-                         size_class_for(i) if shard["skewed"] else "small")
-                for i in range(shard["start"], shard["start"] + shard["count"])]
-
-    return ray.data.from_items(shards).flat_map(expand)

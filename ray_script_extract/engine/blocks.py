@@ -1,8 +1,11 @@
-"""The screenplay block engine: LineObjects → classified ScriptObjects.
+"""The screenplay block engine: block pieces → classified blocks.
 
-A block's text (``Block.text``) is all the extract path reads; its
-colour and attribute ranges (``Block.ranges``) are built only when a
-writer reads the ScriptObject's ranges.
+A block's kind and text (``Block.text``) are all the extract path
+reads, as records projected from the final blocks; its colour and
+attribute ranges (``Block.ranges``) are built only when a writer reads
+a ScriptObject's ranges.  A one-line block is classified by one memo
+lookup (``_one_line_test``) that runs the reference's predicates in
+its order.
 
 Behavioral spec re-derived from the reference's Text_Parser
 (`/root/reference/src/parser/analyzer/ParseText.php:991-1794`) and
@@ -39,7 +42,8 @@ NGText_Block (`:1939-2388`), including its load-bearing quirks:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..functions.looks_like import (
     contains_vo_os_notation,
@@ -77,22 +81,28 @@ _WHITE_OUT_ONE = re.compile(
     "|".join(re.escape(v) for v in
              sorted(_WHITE_OUT_VARIANTS, key=len, reverse=True)),
     re.IGNORECASE)
-# cheap pre-filter: every term contains one of these anchors
-_WHITE_OUT_ANCHOR = re.compile(r"CONT|MORE", re.IGNORECASE)
 
 _SERIES_INDENT_SPACED = re.compile(r"^(\(?[A-Z][.)]\)?[ ]+)")
 _SERIES_INDENT_ALONE = re.compile(r"^(\(?[A-Z][.)]\)?)$")
 _UPPER_THEN_LOWER = re.compile(r"^[A-Z].*[a-z]")
 _PRONOUN_RE = re.compile(r"[^A-Za-z](I|me|my|you|your|yours)[^A-Za-z]", re.I)
+# the reference's ([Ww]e see|enters|…|As (she|he|they)), spelled so that
+# every alternative starts with a literal: the regex engine then skips
+# straight to the places where one of their first letters stands
 _ACTION_VERB_RE = re.compile(
-    r"([Ww]e see|enters|faces|looks|smiles|stares|walks|As (she|he|they))")
+    r"We see|we see|enters|faces|looks|smiles|stares|walks|As (?:she|he|they)")
 _SENTENCE_END_RE = re.compile(r"[.:?!]$")
 _STARTS_UPPER_RE = re.compile(r"^[A-Z]")
 _HYPHEN_END_RE = re.compile(r"[A-Za-z0-9]-$")
+_TWO_CHARS = 2 * DEFAULT_CHAR_WIDTH
 
 
 def white_out(text: str) -> str:
-    if not _WHITE_OUT_ANCHOR.search(text):
+    # Every term holds CONT or MORE.  Only the ASCII letters match
+    # C, O, N, T, M, R and E under IGNORECASE, so the upper-cased text
+    # holds an anchor whenever the pattern can match.
+    upper = text.upper()
+    if "CONT" not in upper and "MORE" not in upper:
         return text
     return _WHITE_OUT_ONE.sub(lambda m: " " * (m.end() - m.start()), text)
 
@@ -111,20 +121,19 @@ def get_alignment(x: float, width: float, default_left_margin: float,
     return "left"
 
 
-class BlockPiece:
-    __slots__ = ("x", "y", "width", "text", "colors", "font_size",
-                 "text_attributes", "number_object")
+class BlockPiece(NamedTuple):
+    """One piece of a line, as ``Block`` and ``Block.combine`` take it.
+    Its maker trims ``text`` of the reference's trim set; the page
+    split makes plain tuples of this shape."""
 
-    def __init__(self, text: str, x: int, y: int, width: int, colors: Dict,
-                 font_size, text_attributes: Dict, number_object: Dict) -> None:
-        self.x = x
-        self.y = y
-        self.width = width
-        self.text = text.strip(_PHP_TRIM)
-        self.colors = colors
-        self.font_size = font_size
-        self.text_attributes = text_attributes
-        self.number_object = number_object
+    text: str
+    x: int
+    y: int
+    width: int
+    colors: Dict
+    font_size: int
+    text_attributes: Dict
+    number_object: Dict
 
 
 class SeriesTimer:
@@ -147,6 +156,47 @@ class SeriesTimer:
         return 0
 
 
+def _text_test(text: str, probably_dialog: bool) -> str:
+    """The last rule of classify_based_on_content: "Paren", else
+    "Dialog" after a Character or Paren or on a pronoun, "Action" on an
+    action verb, or "Unknown"."""
+    if looks_like_parenthetical(text):
+        return "Paren"
+    if probably_dialog or _PRONOUN_RE.search(text):
+        return "Dialog"
+    if _ACTION_VERB_RE.search(text):
+        return "Action"
+    return "Unknown"
+
+
+# what classify_based_on_content assigns as is, with the sure flag
+_SURE_KINDS = frozenset({"Changebar", "Transition", "Horizontal Rule",
+                         "Contact Info", "Character", "Paren"})
+
+
+@lru_cache(maxsize=1 << 16)
+def _one_line_test(line: str) -> str:
+    """classify_based_on_content's tests on a one-line block after the
+    date rule, in the reference's order (ParseText.php:2261-2310): the
+    kind of the first that holds, "Character?" for a character line
+    without V.O./O.S. notation, else ``_text_test`` as if the block
+    before were no Character or Paren.  One memo lookup stands for up to
+    nine predicate calls on the same line."""
+    if line == "*":
+        return "Changebar"
+    if looks_like_slugline(line):
+        return "Slugline"
+    if looks_like_transition(line):
+        return "Transition"
+    if looks_like_the_end(line):
+        return "The End"
+    if looks_like_hrule(line):
+        return "Horizontal Rule"
+    if looks_like_character(line):
+        return "Character" if contains_vo_os_notation(line) else "Character?"
+    return _text_test(line, False)
+
+
 class Block:
     __slots__ = ("x", "y", "lines", "width", "height", "kind",
                  "classification_is_unsure",
@@ -154,19 +204,17 @@ class Block:
                  "text_attributes", "number_object")
 
     def __init__(self, piece: BlockPiece) -> None:
-        self.x = piece.x
-        self.y = piece.y
-        self.lines: List[str] = [piece.text]
-        self.width = piece.width
+        (text, self.x, self.y, self.width, colors, self.font_size,
+         text_attributes, number_object) = piece
+        self.lines: List[str] = [text]
         self.height = 1
         self.kind: Optional[str] = None
         self.classification_is_unsure = False
         self.is_dual_line = False
         self.has_dual_line = False
-        self.colors: List[Dict] = [piece.colors]
-        self.font_size = piece.font_size
-        self.text_attributes: List[Dict] = [piece.text_attributes]
-        self.number_object: Dict = dict(piece.number_object)
+        self.colors: List[Dict] = [colors]
+        self.text_attributes: List[Dict] = [text_attributes]
+        self.number_object: Dict = dict(number_object)
 
     def is_blank(self) -> bool:
         return self.height == 1 and self.lines[0] == ""
@@ -179,73 +227,75 @@ class Block:
         return self.height == 1 and is_uppercase(self.lines[0])
 
     def combine(self, piece: BlockPiece) -> None:
-        if piece.y == self.y + self.height:
+        text, x, y, width, colors, font_size, text_attributes, number = piece
+        if y == self.y + self.height:
             # series_indent field is never set in the reference → the
             # first branch there is dead
-            if piece.x < self.x:
-                self.width += self.x - piece.x
-            self.lines.append(piece.text)
-            self.colors.append(piece.colors)
-            right_edge = piece.x + piece.width
-            self.width = max(self.width, right_edge - self.x)
+            if x < self.x:
+                self.width += self.x - x
+            self.lines.append(text)
+            self.colors.append(colors)
+            self.width = max(self.width, x + width - self.x)
             self.height += 1
-            self.font_size = max(self.font_size, piece.font_size)
-            self.text_attributes.append(piece.text_attributes)
-            if "number" not in self.number_object and "number" in piece.number_object:
-                self.number_object["number"] = piece.number_object["number"]
-            if "left" in self.number_object or "left" in piece.number_object:
-                self.number_object["left"] = 1
-            if "right" in self.number_object or "right" in piece.number_object:
-                self.number_object["right"] = 1
+            self.font_size = max(self.font_size, font_size)
+            self.text_attributes.append(text_attributes)
+            if number:
+                # "left" and "right" are only ever set to 1
+                own = self.number_object
+                if "number" not in own and "number" in number:
+                    own["number"] = number["number"]
+                if "left" in number:
+                    own["left"] = 1
+                if "right" in number:
+                    own["right"] = 1
         # non-adjacent y: the reference hits a disabled assert and the
         # piece is silently dropped (ParseText.php:2037-2051)
 
     def should_combine(self, piece: BlockPiece, timer: SeriesTimer) -> bool:
-        if piece.font_size != self.font_size:
+        """Whether a non-blank ``piece`` on the line right below this
+        non-blank block's last line joins it.  The combine loop makes
+        no other call: the reference's should_combine returns False for
+        every other pair before any SERIES_TIMER side effect."""
+        text, x = piece[0], piece[1]
+        if piece[5] != self.font_size:
             return False
-        if (piece.y == self.y + self.height and piece.text != ""
-                and not self.is_blank()):
+        first = self.lines[0]
+        if timer.value:
             # SERIES_TIMER side effects happen in PHP evaluation order
-            if (timer.get_series_indent(self.lines[0]) > 0
-                    and piece.x == self.x
-                    and timer.get_series_indent(piece.text) > 0):
+            if (timer.get_series_indent(first) > 0 and x == self.x
+                    and timer.get_series_indent(text) > 0):
                 return False
-            else:
-                si = timer.get_series_indent(self.lines[0])
-                if si > 0 and piece.x == self.x + timer.get_series_indent(self.lines[0]):
-                    # quirk: `$intervening_blockpiece` is undefined here
-                    # in the reference, so this branch never rejects
-                    pass
-                else:
-                    chars2 = 2 * DEFAULT_CHAR_WIDTH
-                    if not (self.x - chars2 <= piece.x <= self.x + chars2):
-                        return False
-            if piece.text[0] in ("(", "["):
-                if self.is_uppercase_single_line():
-                    return False
-                p1 = piece.text.find(")")
-                p2 = piece.text.find("]")
-                n = len(piece.text)
-                if ((p1 == -1 or p1 == n - 1) and (p2 == -1 or p2 == n - 1)):
-                    return False
-            if self.is_entirely_parens():
+            si = timer.get_series_indent(first)
+            if si > 0 and x == self.x + timer.get_series_indent(first):
+                # quirk: `$intervening_blockpiece` is undefined here
+                # in the reference, so this branch never rejects
+                pass
+            elif not (self.x - _TWO_CHARS <= x <= self.x + _TWO_CHARS):
                 return False
-            if (piece.x == self.x and self.is_uppercase_single_line()
-                    and self.width > 50 and is_uppercase(piece.text)
-                    and not looks_like_slugline(piece.text)):
-                return True
-        elif piece.y == self.y + self.height - 1:
+        elif not (self.x - _TWO_CHARS <= x <= self.x + _TWO_CHARS):
             return False
-        else:
+        single_upper = self.height == 1 and first.upper() == first
+        if text[0] in "([":
+            if single_upper:
+                return False
+            p1 = text.find(")")
+            p2 = text.find("]")
+            n = len(text) - 1
+            if (p1 == -1 or p1 == n) and (p2 == -1 or p2 == n):
+                return False
+        if first[:1] in ("(", "[") and self.lines[-1][-1:] in (")", "]"):
+            return False  # entirely parens
+        if (x == self.x and single_upper and self.width > 50
+                and text.upper() == text and not looks_like_slugline(text)):
+            return True
+        if looks_like_slugline_or_transition(first):
             return False
-        if looks_like_slugline_or_transition(self.lines[0]):
+        if looks_like_slugline_or_transition(text):
             return False
-        if looks_like_slugline_or_transition(piece.text):
+        if single_upper and _UPPER_THEN_LOWER.search(text):
             return False
-        if self.is_uppercase_single_line() and _UPPER_THEN_LOWER.search(piece.text):
-            return False
-        if (self.height == 1 and looks_like_character(self.lines[0])
-                and looks_like_parenthetical(piece.text)):
+        if (self.height == 1 and looks_like_character(first)
+                and looks_like_parenthetical(text)):
             return False
         return True
 
@@ -316,50 +366,41 @@ class Block:
         if self.is_blank():
             self.kind = "Text"
             return
-        probably_dialog = prev_kind in ("Character", "Paren")
         self.classification_is_unsure = False
-        if (block_num < 3 and len(self.lines) == 1
-                and contains_date(self.lines[0]) and len(self.lines[0]) < 28):
-            self.kind = "Page Header"
+        if self.height == 1:
+            line = self.lines[0]
+            if block_num < 3 and len(line) < 28 and contains_date(line):
+                self.kind = "Page Header"
+                return
+            test = _one_line_test(line)
         elif looks_like_changebar(self.lines):
-            self.kind = "Changebar"
-        elif self.height == 1 and looks_like_slugline(self.lines[0]):
+            test = "Changebar"
+        elif looks_like_contact_info(self.lines):
+            test = "Contact Info"
+        else:
+            test = _text_test(self.text(), prev_kind in ("Character", "Paren"))
+        if test in _SURE_KINDS:
+            self.kind = test
+        elif test == "Slugline":
             self.kind = "Slugline"
             old_line = self.lines[0]
-            split_slug = self.lines[0].split(" ")
+            split_slug = old_line.split(" ")
             if looks_like_scene_number(split_slug[0]):
-                split_slug = split_slug[1:]
-                self.lines[0] = " ".join(split_slug).strip(_PHP_TRIM)
+                self.lines[0] = " ".join(split_slug[1:]).strip(_PHP_TRIM)
                 self.x += (len(old_line) - len(self.lines[0])) * DEFAULT_CHAR_WIDTH
-        elif self.height == 1 and looks_like_transition(self.lines[0]):
-            self.kind = "Transition"
-        elif self.height == 1 and looks_like_the_end(self.lines[0]):
+        elif test == "The End":
             self.kind = "Action"
-        elif self.height == 1 and looks_like_hrule(self.lines[0]):
-            self.kind = "Horizontal Rule"
-        elif self.height > 1 and looks_like_contact_info(self.lines):
-            self.kind = "Contact Info"
-        elif self.height == 1 and looks_like_character(self.lines[0]):
+        elif test == "Character?":
             # quirk: the `$bx == 0 || $prev_kind == "Text"` guard is
             # always TRUE because $bx is undefined (ParseText.php:2292)
-            if contains_vo_os_notation(self.lines[0]):
-                self.kind = "Character"
-            else:
-                self.kind = ("Slugline" if self.x < 8 and is_uppercase(self.lines[0])
-                             else "Character")
-                self.classification_is_unsure = True
-        else:
-            text = self.text()
-            if looks_like_parenthetical(text):
-                self.kind = "Paren"
-                return
+            line = self.lines[0]
+            self.kind = ("Slugline" if self.x < 8 and is_uppercase(line)
+                         else "Character")
             self.classification_is_unsure = True
-            if probably_dialog or _PRONOUN_RE.search(text):
-                self.kind = "Dialog"
-            elif _ACTION_VERB_RE.search(text):
-                self.kind = "Action"
-            else:
-                self.kind = "Unknown"
+        else:
+            self.classification_is_unsure = True
+            self.kind = ("Dialog" if prev_kind in ("Character", "Paren")
+                         else test)
 
     def reclassify_using_indent(self, maybe_kinds: List[str]) -> None:
         if "Character" in maybe_kinds and self.definitely_not_character():
@@ -389,31 +430,61 @@ class Block:
             return
 
 
+def kind_counts(blocks: List[Block]) -> Tuple[Dict[str, Dict[int, int]],
+                                              Dict[str, Dict[int, int]]]:
+    """Per kind, how many blocks stand at each x, the x in order of first
+    appearance; and the same for the one-line blocks that look like
+    scene numbers."""
+    counts: Dict[str, Dict[int, int]] = {}
+    scene_numbers: Dict[str, Dict[int, int]] = {}
+    for block in blocks:
+        kind = block.kind
+        x = block.x
+        by_x = counts.get(kind)
+        if by_x is None:
+            counts[kind] = {x: 1}
+        else:
+            by_x[x] = by_x.get(x, 0) + 1
+        line = block.lines[0]
+        if (block.height == 1 and line[:1] in _DIGITS
+                and looks_like_scene_number(line)):
+            by_x = scene_numbers.setdefault(kind, {})
+            by_x[x] = by_x.get(x, 0) + 1
+    return counts, scene_numbers
+
+
+def likely_indents(counts: Dict[str, Dict[int, int]],
+                   kinds) -> Dict[str, object]:
+    """Per kind, the mode of block x; ties go by first appearance: the
+    last max key for Character/Dialog, the first for others
+    (ParseText.php:1872-1897, get_likely_indent_for).  A kind no block
+    has maps to False."""
+    likely: Dict[str, object] = {}
+    for kind in kinds:
+        by_x = counts.get(kind)
+        if not by_x:
+            likely[kind] = False
+        elif kind in ("Character", "Dialog"):
+            # max keeps the first of equal keys: the last max key
+            likely[kind] = max(reversed(by_x), key=by_x.__getitem__)
+        else:
+            likely[kind] = max(by_x, key=by_x.__getitem__)
+    return likely
+
+
 def get_likely_indents(blocks: List[Block], kinds) -> Dict[str, object]:
-    """Per kind, the mode of block x in one pass over the blocks; ties
-    go by first appearance: the last max key for Character/Dialog, the
-    first for others (ParseText.php:1872-1897, get_likely_indent_for).
-    A kind no block has maps to False."""
+    """``likely_indents`` of the ``kinds`` over ``blocks``."""
     counts: Dict[str, Dict[int, int]] = {kind: {} for kind in kinds}
     for block in blocks:
         by_x = counts.get(block.kind)
         if by_x is not None:
             by_x[block.x] = by_x.get(block.x, 0) + 1
-    likely: Dict[str, object] = {}
-    for kind, by_x in counts.items():
-        if by_x:
-            mx = max(by_x.values())
-            max_keys = [k for k in by_x if by_x[k] == mx]  # insertion order
-            likely[kind] = (max_keys[-1] if kind in ("Character", "Dialog")
-                            else max_keys[0])
-        else:
-            likely[kind] = False
-    return likely
+    return likely_indents(counts, kinds)
 
 
-def prevgen_compute_indents(blocks: List[Block]) -> Dict[str, int]:
-    likely = {k: v for k, v in get_likely_indents(
-        blocks, ("Character", "Dialog", "Slugline", "Action")).items()
+def prevgen_compute_indents(counts: Dict[str, Dict[int, int]]) -> Dict[str, int]:
+    likely = {k: v for k, v in likely_indents(
+        counts, ("Character", "Dialog", "Slugline", "Action")).items()
         if v is not False}
     if ("Action" not in likely and "Slugline" not in likely
             and "Dialog" in likely and likely["Dialog"] > 0):
@@ -427,20 +498,34 @@ def prevgen_compute_indents(blocks: List[Block]) -> Dict[str, int]:
 
 _INDENT_KINDS = frozenset({"Character", "Paren", "Dialog", "Action",
                            "Slugline", "Transition", "Text", "Unknown"})
+_DIGITS = frozenset("0123456789")
 
 
-def nextgen_compute_indents(blocks: List[Block]):
-    by_indent: Dict[int, List[Block]] = {}
-    for block in blocks:
-        if (block.kind in _INDENT_KINDS
-                and not looks_like_scene_number(block.text())):
-            by_indent.setdefault(block.x, []).append(block)
+def nextgen_compute_indents(counts: Dict[str, Dict[int, int]],
+                            scene_numbers: Dict[str, Dict[int, int]]):
+    """From ``kind_counts``: the indents of a page with two to four
+    levels, else False.  Blocks that look like scene numbers don't
+    count (a block of more than one line never does: its text holds a
+    space or a hyphen)."""
+    # per x, the count of each kind
+    by_indent: Dict[int, Dict[str, int]] = {}
+    for kind, by_x in counts.items():
+        if kind not in _INDENT_KINDS:
+            continue
+        skip = scene_numbers.get(kind, {})
+        for x, n in by_x.items():
+            n -= skip.get(x, 0)
+            if n:
+                by_indent.setdefault(x, {})[kind] = n
 
     likely: Dict[str, int] = {}
     lkeys = sorted(by_indent.keys())
 
     def count(kind: str, key) -> int:
-        return sum(1 for b in by_indent[key] if b.kind == kind)
+        return by_indent[key].get(kind, 0)
+
+    def total(key) -> int:
+        return sum(by_indent[key].values())
 
     if len(lkeys) == 2:
         # quirk kept: all five counters below sample level 0
@@ -450,7 +535,7 @@ def nextgen_compute_indents(blocks: List[Block]):
         t1 = count("Transition", lkeys[0])
         c1 = count("Character", lkeys[0])
         p1 = count("Paren", lkeys[0])
-        if c1 + p1 == len(by_indent[lkeys[1]]):
+        if c1 + p1 == total(lkeys[1]):
             likely["Dialog"] = lkeys[0]
             likely["Character"] = lkeys[1]
             likely["Paren"] = lkeys[1]
@@ -467,7 +552,7 @@ def nextgen_compute_indents(blocks: List[Block]):
         p2 = count("Paren", lkeys[2])
         if c2 == 0 or c1 > c2:
             return False
-        if p1 == len(by_indent[lkeys[1]]):
+        if p1 == total(lkeys[1]):
             likely["Dialog"] = lkeys[0]
             likely["Paren"] = lkeys[1]
             likely["Character"] = lkeys[2]
@@ -483,8 +568,8 @@ def nextgen_compute_indents(blocks: List[Block]):
         c2 = count("Character", lkeys[2])
         c3 = count("Character", lkeys[3])
         t3 = count("Transition", lkeys[3])
-        if c3 != 0 and p2 == len(by_indent[lkeys[2]]):
-            if p1 == len(by_indent[lkeys[1]]):
+        if c3 != 0 and p2 == total(lkeys[2]):
+            if p1 == total(lkeys[1]):
                 likely["Dialog"] = lkeys[0]
                 likely["Paren"] = lkeys[1] if p1 >= p2 else lkeys[2]
                 likely["Character"] = lkeys[3]

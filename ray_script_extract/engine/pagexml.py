@@ -4,7 +4,10 @@ One assembler, ``assemble_page``, serves both inputs.  Page XML in the
 pdftohtml ``-xml`` shape (the ``pdf_page_xml`` input kind) is parsed
 with ElementTree by ``process_page_xml`` into typed ``Fragment``
 records; the native PDF front-end (``sources.pdfnative``) produces the
-same records directly, so raw PDFs never go through XML.
+same records directly, so raw PDFs never go through XML.  Each font
+ID's colour, pixel size and special-colour flag are looked up once per
+page, and ``_assemble_line`` trims a line's outer fragments in one
+pass over them.
 
 Behavioral spec re-derived from the reference's per-page XML walk
 (`/root/reference/src/parser/analyzer/ParseText.php:48-121` (sxiToArray)
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ET
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .colors_list import ColorsList
 
@@ -38,6 +41,8 @@ MAX_OFFSET_SAME_LINE = 4
 FONT_CONVERSION_RATE = 4 / 3
 DEFAULT_CHAR_WIDTH = 7
 BASIC_LINE_HEIGHT = 12
+# the font size a blank fragment can give its line
+_BLANK_FONT_SIZE = math.floor(BASIC_LINE_HEIGHT * FONT_CONVERSION_RATE)
 
 AUTO_HEADER_FOOTER_TEXT = (
     "Created using Celtx",
@@ -220,11 +225,18 @@ def assemble_page(page_height: int, fontspecs: List[Dict],
     header_objects: List[Dict] = []
     footer_objects: List[Dict] = []
     fonts_in_page: Dict[int, int] = {}
+    # per font ID on this page: (color ID, size in px, special colour?)
+    font_info: Dict[str, Tuple[int, int, bool]] = {}
+    out = state.line_objects
+    continued_top_max = INCH // 2 + 14
+    continued_bottom_min = page_height - INCH // 2 - 29
+    header_max = INCH // 2 + 6
+    footer_min = page_height - INCH // 2 - 14
 
-    for top in sorted(lines_in_page.keys()):
+    for top in sorted(lines_in_page):
         line_objects = lines_in_page[top]
 
-        if top <= INCH // 2 + 14:
+        if top <= continued_top_max:
             for key in list(line_objects.keys()):
                 v = line_objects[key].value.strip(_PHP_TRIM)
                 if _CONTINUED_TOP.match(v):
@@ -234,14 +246,14 @@ def assemble_page(page_height: int, fontspecs: List[Dict],
                     state.scene_continued_top = True
                     state.scene_continued_number = True
                     del line_objects[key]
-        if top > page_height - INCH // 2 - 29:
+        if top > continued_bottom_min:
             for key in list(line_objects.keys()):
                 v = line_objects[key].value.strip(_PHP_TRIM)
                 if _CONTINUED_BOTTOM.match(v):
                     state.scene_continued_bottom = True
                     del line_objects[key]
 
-        if top <= INCH // 2 + 6:
+        if top <= header_max:
             prev_obj: Optional[Dict] = None
             work = [frag.node() for frag in line_objects.values()]
             idx = 0
@@ -264,20 +276,20 @@ def assemble_page(page_height: int, fontspecs: List[Dict],
                         else:
                             header_objects.append(obj)
                 idx += 1
-        elif top > page_height - INCH // 2 - 14:
+        elif top > footer_min:
             for frag in line_objects.values():
                 if frag.value.strip(_PHP_TRIM) not in AUTO_HEADER_FOOTER_TEXT:
                     footer_objects.append(frag.node())
         else:
             spacing_top = last_top_offset
             while spacing_top <= top - BASIC_LINE_HEIGHT + MAX_OFFSET_SAME_LINE:
-                state.line_objects.append(
-                    LineObject("", 0, 0, given_page_num, {}, 16, {}, {}))
+                out.append(LineObject("", 0, 0, given_page_num, {}, 16, {}, {}))
                 spacing_top += BASIC_LINE_HEIGHT
             last_top_offset = _assemble_line(
-                [line_objects[k] for k in sorted(line_objects)], top,
-                last_top_offset, given_page_num, colors, state,
-                fonts_in_page)
+                list(line_objects.values()) if len(line_objects) == 1
+                else [line_objects[k] for k in sorted(line_objects)],
+                top, last_top_offset, given_page_num, font_info, colors,
+                state, fonts_in_page)
 
     header_objects.sort(key=lambda o: int(float(o["attributes"].get("LEFT", 0))))
     if header_objects:
@@ -294,14 +306,21 @@ def assemble_page(page_height: int, fontspecs: List[Dict],
 
 
 def _assemble_line(frags: List[Fragment], top: int, last_top_offset: int,
-                   given_page_num, colors: ColorsList, state: DocState,
+                   given_page_num, font_info: Dict[str, Tuple[int, int, bool]],
+                   colors: ColorsList, state: DocState,
                    fonts_in_page: Dict[int, int]) -> int:
     """Join one body line's fragments (sorted by left) into a
-    LineObject; returns the updated lastTopOffset (:477-585)."""
-    # only the outermost non-blank fragments get trimmed (:133-264)
-    nonblank = [i for i, frag in enumerate(frags) if frag.value.strip(_TRIM)]
-    trim_left_upto = nonblank[0] if nonblank else len(frags)
-    trim_right_from = nonblank[-1] if nonblank else 0
+    LineObject; returns the updated lastTopOffset (:477-585).
+    ``font_info`` caches each font ID's colour ID, pixel size and
+    special-colour flag for the page."""
+    # Only the outermost non-blank fragments get trimmed (:133-264):
+    # every fragment up to the first non-blank one loses its leading
+    # blanks, and the last non-blank one and all after it their
+    # trailing ones.
+    trim_right_from = len(frags) - 1
+    while trim_right_from > 0 and not frags[trim_right_from].value.strip(_TRIM):
+        trim_right_from -= 1
+    trim_left = True
 
     line_content = ""
     line_colors: Dict[int, List[Dict]] = {}
@@ -311,48 +330,56 @@ def _assemble_line(frags: List[Fragment], top: int, last_top_offset: int,
     line_font_size = 0
     line_number_object: Dict = {}
     last_obj_right = 0
-    for i, frag in enumerate(frags):
-        value = frag.value
+    i = -1
+    for _, obj_left, width, height, font_id, value, text_attrs, _ in frags:
+        i += 1
         text = value.rstrip(_NBS_RTRIM)
-        obj_left = frag.left
-        obj_right = obj_left + frag.width
-        if text != "" and obj_left < 65 and len(text) < 7:
+        if text and len(text) < 7 and (obj_left < 65 or obj_left > 520):
             line_number_object["number"] = text
-            line_number_object["left"] = 1
+            line_number_object["left" if obj_left < 65 else "right"] = 1
+            if trim_left and value.strip(_TRIM):
+                trim_left = False
             continue
-        if text != "" and obj_left > 520 and len(text) < 7:
-            line_number_object["number"] = text
-            line_number_object["right"] = 1
-            continue
-        font_id = frag.font
-        color_id = colors.get_color_id(font_id)
+        info = font_info.get(font_id)
+        if info is None:
+            color_id = colors.get_color_id(font_id)
+            info = font_info[font_id] = (
+                color_id, state.fonts.get(font_id, {}).get("SIZE", 16),
+                colors.special_case(color_id))
+        color_id, font_size_px, special = info
         text_length_before = len(line_content)
-        font_size_px = state.fonts.get(font_id, {}).get("SIZE", 16)
-        if text != "" or line_font_size == 0:
-            line_font_size = max(
-                line_font_size if line_content != "" else 0,
-                font_size_px if text != "" else min(
-                    math.floor(BASIC_LINE_HEIGHT * FONT_CONVERSION_RATE),
-                    font_size_px))
-        if text != "" and line_content != "" and last_obj_right != 0:
-            n_spaces = math.floor(
-                (obj_left - last_obj_right) / DEFAULT_CHAR_WIDTH)
-            if n_spaces > 0:
-                line_content += " " * n_spaces
-        prior_line_content = line_content
-        left_trimmed = right_trimmed = 0
-        if i <= trim_left_upto:
+        if text:
+            if not line_content:
+                line_font_size = font_size_px if font_size_px > 0 else 0
+            elif font_size_px > line_font_size:
+                line_font_size = font_size_px
+            if line_content and last_obj_right != 0:
+                n_spaces = math.floor(
+                    (obj_left - last_obj_right) / DEFAULT_CHAR_WIDTH)
+                if n_spaces > 0:
+                    line_content += " " * n_spaces
+        elif line_font_size == 0:
+            line_font_size = max(0, min(_BLANK_FONT_SIZE, font_size_px))
+        prior_empty = not line_content
+        obj_right = obj_left + width
+        left_trimmed = 0
+        if trim_left:
             trimmed = value.lstrip(_TRIM)
-            left_trimmed = len(value) - len(trimmed)
-            value = trimmed
+            if trimmed:
+                trim_left = False
+            if trimmed is not value:
+                left_trimmed = len(value) - len(trimmed)
+                obj_left += left_trimmed * DEFAULT_CHAR_WIDTH
+                value = trimmed
         if i >= trim_right_from:
             trimmed = value.rstrip(_TRIM)
-            right_trimmed = len(value) - len(trimmed)
-            value = trimmed
-        if value != "":
-            if frag.text_attrs:
+            if trimmed is not value:
+                obj_right -= (len(value) - len(trimmed)) * DEFAULT_CHAR_WIDTH
+                value = trimmed
+        if value:
+            if text_attrs:
                 base = len(line_content)
-                for attr, entries in frag.text_attrs.items():
+                for attr, entries in text_attrs.items():
                     for entry in entries:
                         if entry["end"] < left_trimmed:
                             continue
@@ -364,21 +391,20 @@ def _assemble_line(frags: List[Fragment], top: int, last_top_offset: int,
                             "end": min(entry["end"] - left_trimmed,
                                        len(value) - 1) + base})
             line_content += value
-        obj_left += left_trimmed * DEFAULT_CHAR_WIDTH
-        obj_right -= right_trimmed * DEFAULT_CHAR_WIDTH
-        if not colors.special_case(color_id):
+        if not special:
             line_colors.setdefault(color_id, []).append(
                 {"start": text_length_before, "end": len(line_content)})
-        last_top_offset = max(
-            last_top_offset,
-            top + (frag.height if text != ""
-                   else min(BASIC_LINE_HEIGHT, frag.height)))
-        if prior_line_content == "":
+        bottom = top + (height if text else min(BASIC_LINE_HEIGHT, height))
+        if bottom > last_top_offset:
+            last_top_offset = bottom
+        if prior_empty:
             left = obj_left
             right = obj_right
-        elif value != "":
-            left = min(left, obj_left)
-            right = max(right, obj_right)
+        elif value:
+            if obj_left < left:
+                left = obj_left
+            if obj_right > right:
+                right = obj_right
         fonts_in_page[color_id] = fonts_in_page.get(color_id, 0) + 1
         last_obj_right = obj_right
     state.line_objects.append(

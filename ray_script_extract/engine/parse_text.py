@@ -2,19 +2,27 @@
 
 Behavioral spec re-derived from the reference's parse_page pipeline
 (`/root/reference/src/parser/analyzer/ParseText.php:1007-1793`):
-tab/CONT'D normalization → block-piece split on ≥12-space runs →
-title-page detection → vertical block merge → content classification →
-indent inference → reclassification passes → dual-dialog
-reconstruction → Unknown/Action finalization → margin-blank removal →
-ScriptObjects, with the cross-page Dialog merge at the end.  See
-blocks.py for the quirk inventory.
+tab/CONT'D normalization and the block-piece split on ≥12-space runs
+(one loop) → title-page detection → vertical block merge → content
+classification → indent inference → reclassification passes →
+dual-dialog reconstruction → Unknown/Action finalization →
+margin-blank removal → output items, with the cross-page Dialog merge
+at the end.  See blocks.py for the quirk inventory.
+
+A document's output is a ``Script``: one item per output, made from
+the final blocks by ``_block_items`` (``_fly_page_items`` for a title
+page).  The extract path reads its ``(kind, text, page)`` records and
+builds no ScriptObject; ``cli convert`` and the revision pass read its
+ScriptObjects, which each item's builder makes from the same blocks.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import insort
+from collections.abc import Sequence
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..functions.looks_like import (
     looks_like_character,
@@ -22,19 +30,22 @@ from ..functions.looks_like import (
     looks_like_series_or_montage_slugline,
     looks_like_slugline,
 )
-from ..functions.textutil import is_uppercase
+from ..functions.textutil import (compress_spaces, is_uppercase,
+                                  strip_color_formatting)
 from .blocks import (
+    _DIGITS,
     Block,
     BlockPiece,
     SeriesTimer,
     get_alignment,
     get_likely_indents,
+    kind_counts,
     maybe_merge_across_intersentence_spaces,
     nextgen_compute_indents,
     prevgen_compute_indents,
     white_out,
 )
-from .objects import ScriptObject
+from .objects import VALID_TYPES, ScriptObject, json_type_name
 from .pagexml import (DEFAULT_CHAR_WIDTH, INCH, DocState, LineObject,
                       assemble_page, process_page_xml)
 
@@ -46,6 +57,8 @@ _BY_ALONE = re.compile(r"(^| )[Bb][Yy]$")
 _BY_PREFIX = re.compile(r"(^| )[Bb][Yy] ")
 
 _TWELVE_SPACES = " " * 12
+# looks_like_series_or_montage_slugline's patterns
+_SERIES_PREFIXES = ("SERIES OF SHOTS", "MONTAGE")
 
 LINES_BEFORE_TYPE = {"Action": 1, "Character": 1, "Transition": 1,
                      "Slugline": 2, "Shot": 2}
@@ -62,59 +75,6 @@ def split_attribute(attributes: Dict, left_incl: int, right_excl: int) -> Dict:
                     "end": min(entry["end"], right_excl) - left_incl,
                 })
     return out
-
-
-def classify_fly_page_objects(objects: List[ScriptObject]) -> List[ScriptObject]:
-    found_title = False
-    found_author = False
-    next_is_author = False
-    possible_author_index = -1
-    i = 0
-    while i < len(objects):
-        text = objects[i].content
-        if text == "":
-            i += 1
-            continue
-        if next_is_author:
-            objects[i].type = "Author"
-            found_author = True
-            next_is_author = False
-        if not found_title:
-            objects[i].type = "Title"
-            found_title = True
-            i += 1
-            continue
-        if possible_author_index == -1:
-            possible_author_index = i
-        if not found_author:
-            if _BY_ALONE.search(text):
-                next_is_author = True
-            elif _BY_PREFIX.search(objects[i].content):
-                content = objects[i].content
-                by_pos = content.lower().find("by ")
-                original_length = len(content)
-                author_name = content[by_pos + 3:]
-                colors = objects[i].colors
-                text_attrs = objects[i].attributes.get("textAttributes", {})
-                split_colors = split_attribute(colors, 0, by_pos + 2)
-                split_attrs = split_attribute(text_attrs, 0, by_pos + 2)
-                old = objects[i]
-                objects[i] = ScriptObject(
-                    old.type, content[:by_pos + 2], old.page_num,
-                    old.given_page_num, split_colors, old.get_font_size(),
-                    split_attrs, old.attributes.get("numberObject", {}),
-                    pdf_path=True)
-                split_colors2 = split_attribute(colors, by_pos + 3, original_length)
-                split_attrs2 = split_attribute(text_attrs, by_pos + 3, original_length)
-                objects.insert(i + 1, ScriptObject(
-                    "Author", author_name, old.page_num, old.given_page_num,
-                    split_colors2, old.get_font_size(), split_attrs2, {},
-                    pdf_path=True))
-                found_author = True
-        i += 1
-    if not found_author and possible_author_index != -1:
-        objects[possible_author_index].type = "Author"
-    return objects
 
 
 def _expand_tabs(text: str) -> str:
@@ -161,10 +121,186 @@ def _merged_ranges(prev: ScriptObject, nxt: ScriptObject, offset: int,
                                offset))
 
 
+def _content(text: str) -> str:
+    """A PDF ScriptObject's ``content`` for ``text``."""
+    return compress_spaces(strip_color_formatting(text), True)
+
+
+# -- one document output per item ---------------------------------------
+# The block engine's output is a list of items, one per ScriptObject:
+# ``(type, content, page, page_num, given_page_num, build, source)``.
+# ``page`` is the physical page the output's first line sits on;
+# ``page_num`` is the reference's page count, which adds one for a
+# missing title page.  The extract path reads the first three fields;
+# ``build(item)`` makes the ScriptObject from ``source`` for the writers.
+
+def _block_object(item) -> ScriptObject:
+    kind, content, _, page_num, given_page_num, _, block = item
+    o = ScriptObject(kind, content, page_num, given_page_num, None,
+                     block.font_size, None, block.number_object,
+                     pdf_path=True,
+                     ranges=(partial(_dialog_ranges, block)
+                             if kind == "Dialog"
+                             else partial(_block_ranges, block, kind)))
+    if kind != "Dialog":
+        o.num_lines = block.height
+        o.is_dual_line = block.is_dual_line
+        o.has_dual_line = block.has_dual_line
+    return o
+
+
+def _contact_line_object(item) -> ScriptObject:
+    """One line of a Contact Info block, as Text."""
+    block, x = item[6]
+    return ScriptObject("Text", item[1], item[3], item[4], block.colors[x],
+                        block.font_size, block.text_attributes[x],
+                        block.number_object, pdf_path=True)
+
+
+def _fly_object(item) -> ScriptObject:
+    """A title-page output: ``source`` is (colors, font size, text
+    attributes, number object, (x, width) for the alignment or None)."""
+    colors, font_size, text_attributes, number_object, span = item[6]
+    o = ScriptObject(item[0], item[1], item[3], item[4], colors, font_size,
+                     text_attributes, number_object, pdf_path=True)
+    if span is not None:
+        alignment = get_alignment(span[0], span[1], 1 * INCH, 8.5 * INCH)
+        if alignment != "left":
+            o.set_attribute("alignment", alignment)
+    return o
+
+
+def _merged_object(item) -> ScriptObject:
+    """A Dialog carried across a page break: ``source`` is the two
+    items it joins."""
+    prev, nxt = (i[5](i) for i in item[6])
+    return ScriptObject(
+        "Dialog", item[1], item[3], item[4], None,
+        max(prev.get_font_size(), nxt.get_font_size()), None,
+        prev.get_number_object(), pdf_path=True,
+        ranges=partial(_merged_ranges, prev, nxt, len(prev.content) + 1))
+
+
+def _block_items(blocks: List[Block], page: int, page_num: int,
+                 given_page_num) -> list:
+    """A page's final blocks → its output items: a Horizontal Rule is
+    Text, a Contact Info block one Text per line, and an empty Dialog
+    nothing.  The extract path's records and the writers'
+    ScriptObjects both come from these items."""
+    items = []
+    add = items.append
+    for block in blocks:
+        kind = block.kind
+        if kind == "Contact Info":
+            for x, line in enumerate(block.lines):
+                add(("Text", _content(line), page, page_num, given_page_num,
+                     _contact_line_object, (block, x)))
+            continue
+        if kind not in VALID_TYPES:  # a Horizontal Rule among them
+            kind = "Text"
+        content = _content(block.text())
+        if content or kind != "Dialog":
+            add((kind, content, page, page_num, given_page_num,
+                 _block_object, block))
+    return items
+
+
+def _fly_page_items(pieces: list, page: int, page_num: int,
+                    given_page_num) -> list:
+    """The title page's items: one Text per piece with a font size,
+    then Title/Author by content (classify_fly_page_objects)."""
+    items = [["Text", _content(text.strip(_PHP_TRIM)), page, page_num,
+              given_page_num, _fly_object,
+              (colors, font_size, attrs, number_object, (x, width))]
+             for text, x, _, width, colors, font_size, attrs, number_object
+             in pieces if font_size != 0]
+    found_title = False
+    found_author = False
+    next_is_author = False
+    possible_author_index = -1
+    i = 0
+    while i < len(items):
+        text = items[i][1]
+        if text == "":
+            i += 1
+            continue
+        if next_is_author:
+            items[i][0] = "Author"
+            found_author = True
+            next_is_author = False
+        if not found_title:
+            items[i][0] = "Title"
+            found_title = True
+            i += 1
+            continue
+        if possible_author_index == -1:
+            possible_author_index = i
+        if not found_author:
+            if _BY_ALONE.search(text):
+                next_is_author = True
+            elif _BY_PREFIX.search(text):
+                # the split halves keep no alignment
+                by_pos = text.lower().find("by ")
+                old = items[i]
+                colors, font_size, attrs, number_object, _ = old[6]
+                items[i] = [old[0], _content(text[:by_pos + 2]), page,
+                            page_num, given_page_num, _fly_object,
+                            (split_attribute(colors, 0, by_pos + 2),
+                             font_size,
+                             split_attribute(attrs, 0, by_pos + 2),
+                             number_object, None)]
+                items.insert(i + 1, [
+                    "Author", _content(text[by_pos + 3:]), page, page_num,
+                    given_page_num, _fly_object,
+                    (split_attribute(colors, by_pos + 3, len(text)),
+                     font_size,
+                     split_attribute(attrs, by_pos + 3, len(text)), {},
+                     None)])
+                found_author = True
+        i += 1
+    if not found_author and possible_author_index != -1:
+        items[possible_author_index][0] = "Author"
+    return [tuple(item) for item in items]
+
+
+class Script(Sequence):
+    """One document's block-engine output.
+
+    ``records()`` is what the extract path reads: ``(JSON type name,
+    content, physical page)`` per output, built from no ScriptObject.
+    As a sequence it holds the ScriptObjects, built from the same items
+    on first access, for the writers and the revision pass."""
+
+    __slots__ = ("items", "_objects")
+
+    def __init__(self, items: list) -> None:
+        self.items = items
+        self._objects: Optional[List[ScriptObject]] = None
+
+    def records(self) -> List[Tuple[str, str, int]]:
+        return [(json_type_name(item[0]), item[1], item[2])
+                for item in self.items]
+
+    def objects(self) -> List[ScriptObject]:
+        if self._objects is None:
+            self._objects = [item[5](item) for item in self.items]
+        return self._objects
+
+    def __getitem__(self, index):
+        return self.objects()[index]
+
+    def __iter__(self):
+        return iter(self.objects())
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
 class TextParser:
     def __init__(self, colors) -> None:
-        self.objects: List[ScriptObject] = []
+        self.items: list = []
         self.num_pages = 0
+        self.page = 0
         self.given_page_num = ""
         self.colors = colors
         self._timer = SeriesTimer()
@@ -176,105 +312,96 @@ class TextParser:
         # reference (the update is inside `if (false)`) → always "Blank"
         last_page_block_kind = "Blank"
         self.num_pages += 1
+        self.page += 1
         self.given_page_num = given_page_num
 
-        # --- normalize each line -------------------------------------
-        for lo in line_objects:
+        # --- normalize each line and split it into block pieces ------
+        # A piece is a BlockPiece-shaped tuple.  Lines split on runs of
+        # 12+ spaces; a normalized line has no edge blanks, so its
+        # first piece starts at 0.  Only the length of the reference's
+        # $page_text is ever read.
+        pieces: list = []
+        add_piece = pieces.append
+        page_text_len = 0
+        num_lines_with_text = 0
+        for lx, lo in enumerate(line_objects):
             text = lo.text
             if text:
                 text = text.rstrip(_NBS_RTRIM)
                 if "\t" in text:
                     text = _expand_tabs(text)
-                lo.text = white_out(text).strip(_FULL_TRIM)
-
-        # --- split into block pieces ---------------------------------
-        # on runs of 12+ spaces; only the length of the reference's
-        # $page_text is ever read
-        block_pieces: List[BlockPiece] = []
-        page_text_len = 0
-        num_lines_with_text = 0
-        for lx, lo in enumerate(line_objects):
-            text = lo.text
-            n = len(text)
-            i = n - len(text.lstrip(" "))
-            if i == n:
-                block_pieces.append(BlockPiece(
-                    "", lo.x + i * 11, lx, 0, lo.line_colors,
-                    lo.line_font_size, lo.line_text_attributes,
-                    lo.line_number_object))
+                text = white_out(text).strip(_FULL_TRIM)
+            if not text:
+                add_piece(("", lo.x, lx, 0, lo.line_colors,
+                           lo.line_font_size, lo.line_text_attributes,
+                           lo.line_number_object))
                 continue
+            i = 0
             while True:
                 end = text.find(_TWELVE_SPACES, i)
-                if end == -1:
-                    end = n
-                s = text[i:end]
+                s = text[i:] if end == -1 else text[i:end]
                 page_text_len += len(s) + 1
-                trim_x = i * DEFAULT_CHAR_WIDTH
-                block_pieces.append(BlockPiece(
-                    s, lo.x + trim_x, lx, lo.width - trim_x, lo.line_colors,
-                    lo.line_font_size, lo.line_text_attributes,
-                    lo.line_number_object))
                 num_lines_with_text += 1
+                trim_x = i * DEFAULT_CHAR_WIDTH
+                add_piece((s.strip(_PHP_TRIM), lo.x + trim_x, lx,
+                           lo.width - trim_x, lo.line_colors,
+                           lo.line_font_size, lo.line_text_attributes,
+                           lo.line_number_object))
+                if end == -1:
+                    break
                 m = _NON_SPACE.search(text, end)
                 if m is None:
                     break
                 i = m.start()
 
         # --- title page? ---------------------------------------------
-        if (look_for_fly_page and not self.objects
+        if (look_for_fly_page and not self.items
                 and num_lines_with_text < 30 and page_text_len < 300):
-            objects: List[ScriptObject] = []
-            for piece in block_pieces:
-                text = piece.text.strip(_PHP_TRIM)
-                if piece.font_size == 0:
-                    continue
-                o = ScriptObject("Text", text, self.num_pages,
-                                 self.given_page_num, piece.colors,
-                                 piece.font_size, piece.text_attributes,
-                                 piece.number_object, pdf_path=True)
-                alignment = get_alignment(piece.x, piece.width, 1 * INCH,
-                                          8.5 * INCH)
-                if alignment != "left":
-                    o.set_attribute("alignment", alignment)
-                objects.append(o)
-            self.objects = classify_fly_page_objects(objects)
+            self.items = _fly_page_items(pieces, self.page, self.num_pages,
+                                         given_page_num)
             return
-        elif not self.objects:
+        elif not self.items:
             self.num_pages += 1  # fake title page
 
         # --- combine pieces into blocks ------------------------------
         # The reference scans the last 20 blocks calling should_combine
-        # on each (ParseText.php:1159-1167).  A block whose y+height
-        # doesn't equal the piece's y returns False before ANY
-        # side-effecting SERIES_TIMER evaluation, so pre-bucketing the
-        # window by y+height is semantics-preserving and skips the
-        # dead calls (most of the scan on real pages).
+        # on each (ParseText.php:1159-1167).  A block whose last line
+        # isn't the line right above the piece returns False before ANY
+        # side-effecting SERIES_TIMER evaluation, so scanning only the
+        # blocks the line above ended (``above``, in block order) is
+        # semantics-preserving and skips the dead calls (most of the
+        # scan on real pages).
         # A blank piece never combines (should_combine wants text) and
         # a blank block never takes a piece, so neither is looked up.
         blocks: List[Block] = []
-        by_y_end: Dict[int, List[int]] = {}
+        above: List[int] = []
+        here: List[int] = []
+        line = 0
         timer = self._timer
-        for piece in block_pieces:
-            text = piece.text
+        for piece in pieces:
+            if piece[2] != line:
+                above = here if piece[2] == line + 1 else []
+                line = piece[2]
+                here = []
+            text = piece[0]
             if text:
-                if looks_like_slugline(text):
-                    timer.value = 0
-                    if looks_like_series_or_montage_slugline(text):
-                        timer.value = 20
+                if timer.value or text.startswith(_SERIES_PREFIXES):
+                    if looks_like_slugline(text):
+                        timer.value = 0
+                        if looks_like_series_or_montage_slugline(text):
+                            timer.value = 20
                 window_start = len(blocks) - 20
-                for ax in by_y_end.get(piece.y, ()):
+                for ax in above:
                     if ax < window_start:
                         continue
                     block = blocks[ax]
                     if block.should_combine(piece, timer):
-                        by_y_end[block.y + block.height].remove(ax)
+                        above.remove(ax)
                         block.combine(piece)
-                        ends = by_y_end.setdefault(block.y + block.height, [])
-                        ends.append(ax)
-                        ends.sort()
+                        insort(here, ax)
                         break
                 else:
-                    by_y_end.setdefault(piece.y + 1, []).append(len(blocks))
+                    here.append(len(blocks))
                     blocks.append(Block(piece))
             else:
                 blocks.append(Block(piece))
@@ -292,9 +419,10 @@ class TextParser:
             block.classify_based_on_content(prev_kind, bx)
 
         # --- likely indent per kind ----------------------------------
-        likely_indent_for = nextgen_compute_indents(blocks)
+        counts, scene_numbers = kind_counts(blocks)
+        likely_indent_for = nextgen_compute_indents(counts, scene_numbers)
         if likely_indent_for is False:
-            likely_indent_for = prevgen_compute_indents(blocks)
+            likely_indent_for = prevgen_compute_indents(counts)
 
         if ("Character" in likely_indent_for and "Dialog" in likely_indent_for
                 and likely_indent_for["Dialog"] == 0):
@@ -307,10 +435,14 @@ class TextParser:
         indents = [(v, likely_indent_for[v]) for v in
                    ("Character", "Dialog", "Slugline", "Action", "Transition")
                    if v in likely_indent_for]
+        near: Dict[int, List[str]] = {}  # x → the kinds indented there
         for ax, block in enumerate(blocks):
             if block.classification_is_unsure:
-                block.reclassify_using_indent(
-                    [v for v, x in indents if abs(block.x - x) <= 3])
+                maybe_kinds = near.get(block.x)
+                if maybe_kinds is None:
+                    maybe_kinds = near[block.x] = [
+                        v for v, x in indents if abs(block.x - x) <= 3]
+                block.reclassify_using_indent(maybe_kinds)
             if (block.classification_is_unsure
                     and (block.x > 600
                          or (block.x > 400 and block.x + block.width > 700))
@@ -359,15 +491,17 @@ class TextParser:
 
         # --- Scene Number detection ----------------------------------
         for ax, block in enumerate(blocks):
-            prev = blocks[ax - 1] if ax - 1 >= 0 else None
-            nxt = blocks[ax + 1] if ax + 1 < len(blocks) else None
-            if (block.height == 1 and looks_like_scene_number(block.lines[0])
-                    and ((prev is not None and prev.y == block.y
-                          and prev.kind == "Slugline")
-                         or (nxt is not None and nxt.y == block.y
-                             and nxt.kind == "Slugline"))):
-                block.kind = "Scene Number"
-                block.classification_is_unsure = False
+            line = block.lines[0]
+            if (block.height == 1 and line[:1] in _DIGITS
+                    and looks_like_scene_number(line)):
+                prev = blocks[ax - 1] if ax - 1 >= 0 else None
+                nxt = blocks[ax + 1] if ax + 1 < len(blocks) else None
+                if ((prev is not None and prev.y == block.y
+                     and prev.kind == "Slugline")
+                        or (nxt is not None and nxt.y == block.y
+                            and nxt.kind == "Slugline")):
+                    block.kind = "Scene Number"
+                    block.classification_is_unsure = False
 
         # --- decoration removal --------------------------------------
         keep = [True] * len(blocks)
@@ -384,7 +518,8 @@ class TextParser:
                     keep[ax + 1] = False
             elif block.kind == "Changebar":
                 keep[ax] = False
-        blocks = [b for ax, b in enumerate(blocks) if keep[ax]]
+        if not all(keep):
+            blocks = [b for ax, b in enumerate(blocks) if keep[ax]]
 
         # --- first-Dialog misclassification fix ----------------------
         first_dialog_misclassified = False
@@ -423,108 +558,71 @@ class TextParser:
         # --- dual-dialog reconstruction ------------------------------
         self._reconstruct_dual_dialog(blocks)
 
-        # --- Unknown → final kind ------------------------------------
+        # --- Unknown → final kind, Action → Text/Shot ----------------
+        # One pass: an Unknown's rule reads the previous block's kind
+        # only for Character/Dialog/Paren, which the Action rule never
+        # sets or clears.  No block's lines change from here on.
+        blank: List[bool] = []
         for block_index, block in enumerate(blocks):
-            if block.kind == "Unknown":
+            kind = block.kind
+            if kind == "Unknown":
                 kind = "Action"
-                if block_index > 0:
-                    prev_block = blocks[block_index - 1]
-                    if not prev_block.is_blank():
-                        if prev_block.kind in ("Character", "Dialog", "Paren"):
-                            kind = "Dialog"
-                        else:
-                            kind = "Text"
+                if block_index > 0 and not blank[-1]:
+                    if blocks[block_index - 1].kind in ("Character", "Dialog",
+                                                        "Paren"):
+                        kind = "Dialog"
+                    else:
+                        kind = "Text"
                 block.kind = kind
-
-        # --- Action → Text/Shot by vertical spacing ------------------
-        for block_index, block in enumerate(blocks):
-            if block.kind == "Action":
-                if block_index > 0:
-                    if not blocks[block_index - 1].is_blank():
-                        block.kind = "Text"
-                    elif (block_index >= 2 and blocks[block_index - 2].is_blank()
-                          and block.is_uppercase_single_line()):
-                        block.kind = "Shot"
+            if kind == "Action" and block_index > 0:
+                if not blank[-1]:
+                    block.kind = "Text"
+                elif (block_index >= 2 and blank[-2]
+                      and block.is_uppercase_single_line()):
+                    block.kind = "Shot"
+            blank.append(block.height == 1 and block.lines[0] == "")
 
         # --- margin-blank removal ------------------------------------
-        removed = [False] * len(blocks)
+        # of each run of blanks, the first ones up to the margin the
+        # next block's kind wants go
+        kept: List[Block] = []
         seen_real_line = False
         num_blocks = len(blocks)
         i = 0
         while i < num_blocks:
-            block = blocks[i]
-            if block.is_blank():
-                next_block_kind = ""
+            if blank[i]:
                 j = i + 1
-                while j < num_blocks:
-                    if not blocks[j].is_blank():
-                        next_block_kind = blocks[j].kind
-                        break
+                while j < num_blocks and blank[j]:
                     j += 1
                 num_blanks = j - i
-                margin_num_blanks = (num_blanks if next_block_kind == ""
-                                     else LINES_BEFORE_TYPE.get(next_block_kind, 0))
+                margin_num_blanks = (num_blanks if j == num_blocks
+                                     else LINES_BEFORE_TYPE.get(blocks[j].kind, 0))
                 num_blanks_to_remove = min(num_blanks, margin_num_blanks)
                 if not seen_real_line and margin_num_blanks > 0:
                     if num_blanks_to_remove == num_blanks:
                         num_blanks_to_remove -= 1
-                for k in range(i, i + num_blanks_to_remove):
-                    removed[k] = True
+                kept += blocks[i + num_blanks_to_remove:j]
                 i = j
             else:
                 seen_real_line = True
+                kept.append(blocks[i])
                 i += 1
-        blocks = [b for ix, b in enumerate(blocks) if not removed[ix]]
 
-        # --- blocks → ScriptObjects ----------------------------------
-        # Each object gets its text from one join; its colour and
-        # attribute ranges and its alignment stay a thunk over the
-        # block until a writer reads them.
-        objects: List[ScriptObject] = []
-        num_pages = self.num_pages
-        given_page_num = self.given_page_num
-        for block in blocks:
-            kind = block.kind
-            if kind == "Horizontal Rule":
-                kind = "Text"
-            if kind == "Contact Info":
-                for x, line in enumerate(block.lines):
-                    objects.append(ScriptObject(
-                        "Text", line, num_pages, given_page_num,
-                        block.colors[x], block.font_size,
-                        block.text_attributes[x], block.number_object,
-                        pdf_path=True))
-            elif kind == "Dialog":
-                o = ScriptObject(kind, block.text(), num_pages,
-                                 given_page_num, None, block.font_size, None,
-                                 block.number_object, pdf_path=True,
-                                 ranges=partial(_dialog_ranges, block))
-                if o.content != "":
-                    objects.append(o)
-            else:
-                o = ScriptObject(kind, block.text(), num_pages,
-                                 given_page_num, None, block.font_size, None,
-                                 block.number_object, pdf_path=True,
-                                 ranges=partial(_block_ranges, block, kind))
-                o.num_lines = block.height
-                o.is_dual_line = block.is_dual_line
-                o.has_dual_line = block.has_dual_line
-                objects.append(o)
+        # --- blocks → output items -----------------------------------
+        items = _block_items(kept, self.page, self.num_pages,
+                             given_page_num)
 
         # --- cross-page Dialog merge ---------------------------------
-        if (self.objects and objects and self.objects[-1].type == "Dialog"
-                and objects[0].type == "Dialog"):
-            prev = self.objects[-1]
-            nxt = objects[0]
-            self.objects[-1] = ScriptObject(
-                "Dialog", prev.content + " " + nxt.content, num_pages,
-                given_page_num, None,
-                max(prev.get_font_size(), nxt.get_font_size()), None,
-                prev.get_number_object(), pdf_path=True,
-                ranges=partial(_merged_ranges, prev, nxt,
-                               len(prev.content) + 1))
-            objects = objects[1:]
-        self.objects.extend(objects)
+        # the merged output sits on the page of its first line
+        if (self.items and items and self.items[-1][0] == "Dialog"
+                and items[0][0] == "Dialog"):
+            prev = self.items[-1]
+            nxt = items[0]
+            self.items[-1] = (
+                "Dialog", _content(prev[1] + " " + nxt[1]), prev[2],
+                self.num_pages, given_page_num, _merged_object, (prev, nxt))
+            del items[0]
+        self.items += items
 
     # ------------------------------------------------------------------
     def _reconstruct_dual_dialog(self, blocks: List[Block]) -> None:
@@ -611,7 +709,8 @@ class TextParser:
                                     else:
                                         for num, line in enumerate(nxt.lines):
                                             prev2.combine(BlockPiece(
-                                                line, nxt.x, nxt.y + num,
+                                                line.strip(_PHP_TRIM), nxt.x,
+                                                nxt.y + num,
                                                 len(line) * DEFAULT_CHAR_WIDTH,
                                                 {}, nxt.font_size, {},
                                                 block.number_object))
@@ -650,14 +749,14 @@ class TextParser:
             bx += 1
 
 
-def parse_pages_xml(pages: List[str]) -> List[ScriptObject]:
+def parse_pages_xml(pages: List[str]) -> Script:
     return parse_pages_xml_full(pages)[0]
 
 
 def parse_pages_xml_full(pages: List[str]):
-    """Full document extraction: page-XML strings → (ScriptObjects,
-    DocState) — the state carries headers/footers/colors/continued
-    flags for the JSON writer and revision inference."""
+    """Full document extraction: page-XML strings → (Script, DocState)
+    — the state carries headers/footers/colors/continued flags for the
+    JSON writer and revision inference."""
     state = DocState()
     for page_xml in pages:
         process_page_xml(page_xml, state)
@@ -707,4 +806,4 @@ def _parse_document(state: DocState):
         if lines_this_page:
             parser.parse_page(lines_this_page, False, last_given)
     # else: the reference's undefined-$lines branch → no objects
-    return parser.objects, state
+    return Script(parser.items), state

@@ -4,34 +4,38 @@
 ``<page>`` XML strings (one per page, in order) and runs the full
 line-assembly + block-classification engine — the semantics of
 `/root/reference/src/parser/analyzer/ParseText.php` re-expressed in
-Python.  ``extract_pdf_raw_document`` runs the native PDF front-end,
-whose typed page records (``pdfnative.pdf_page_records``) go straight
-into the same line assembly: a raw PDF is never serialized to XML.
+Python.  ``extract_pdf_raw_document_with_media`` runs the native PDF
+front-end, whose typed page records (``pdfnative.pdf_page_records``) go
+straight into the same line assembly: a raw PDF is never serialized to
+XML.  Both give the block engine's ``Script``: the extract stage reads
+its ``(kind, text, page)`` records, and the converters its
+ScriptObjects, built from the same blocks.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .objects import ScriptObject
 
 
-def extract_pdf_xml_document(pages: List[str]) -> List[ScriptObject]:
+def extract_pdf_xml_document(pages: List[str]) -> List[Tuple[str, str, int]]:
+    """The document's ``(JSON kind, text, page)`` records."""
     from .parse_text import parse_pages_xml
 
-    return parse_pages_xml(pages)
+    return parse_pages_xml(pages).records()
 
 
-def extract_pdf_raw_document(pdf_data: str) -> List[ScriptObject]:
+def extract_pdf_raw_document(pdf_data: str):
     """``pdf_data`` is base64 (text column) of a native PDF."""
     return extract_pdf_raw_document_with_media(pdf_data)[0]
 
 
 def extract_pdf_raw_document_with_media(pdf_data: str):
-    """(ScriptObjects, per-page media-ref lists) — the media half
-    feeds interleaved ``image`` spans (content-addressed refs for
-    page image XObjects; the reference's pdftohtml text path drops
-    images, SURVEY §1.2, so this is new-capability tier)."""
+    """(Script, per-page media-ref lists) — the media half feeds
+    interleaved ``image`` spans (content-addressed refs for page image
+    XObjects; the reference's pdftohtml text path drops images, SURVEY
+    §1.2, so this is new-capability tier)."""
     import base64
 
     from ..sources.pdfnative import pdf_page_records
@@ -76,10 +80,11 @@ def convert_pdf_raw_document(raw: bytes, output: str = "json"):
                     output)
 
 
-def _convert(objects: List[ScriptObject], state, output: str):
+def _convert(script, state, output: str):
     from ..engine.postpass import parse_line_numbers, parse_revisions
     from ..sources.writers import write_fountain, write_wd_json
 
+    objects = script.objects()
     fixup_title_page(objects)
     if output == "fountain":
         return write_fountain(objects)

@@ -21,11 +21,10 @@ bytes.  Implemented directly from the public specs:
 
 The decoder walks mode codes in Python — fax pages are one image per
 task inside the actor-pool/batch stage, and the 100 TB path
-parallelizes across images, not within one.  The encoder exists so
-tests and fixtures can author REAL G4 payloads (two rasterizations of
-one page must band together as near-dups); both share the tables, so
-tests also pin hand-checked spec vectors and verify each table is
-prefix-free (a transcription error would otherwise round-trip
+parallelizes across images, not within one.  The tests' encoder
+(``tests/helpers.py``) authors REAL G4 payloads from the same tables,
+so the tests also pin hand-checked spec vectors and verify each table
+is prefix-free (a transcription error would otherwise round-trip
 silently).
 
 Not supported (raise ValueError → callers fall back to the byte-hash
@@ -140,11 +139,7 @@ _EXT_CODES: Dict[int, Tuple[int, int]] = {
     2560: (0b000000011111, 12),
 }
 
-# T.6 two-dimensional mode codes
-_MODE_P = (0b0001, 4)
-_MODE_H = (0b001, 3)
-_MODE_V = {0: (0b1, 1), 1: (0b011, 3), 2: (0b000011, 6), 3: (0b0000011, 7),
-           -1: (0b010, 3), -2: (0b000010, 6), -3: (0b0000010, 7)}
+# T.4 end-of-line code; two in a row end a G4 page (EOFB)
 _EOL = (0b000000000001, 12)
 
 
@@ -206,50 +201,6 @@ def _read_run(br: _BitReader, table: Dict[Tuple[int, int], int]) -> int:
             return total
 
 
-class _BitWriter:
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, length: int) -> None:
-        self.acc = (self.acc << length) | value
-        self.nbits += length
-        while self.nbits >= 8:
-            self.nbits -= 8
-            self.buf.append((self.acc >> self.nbits) & 0xFF)
-        self.acc &= (1 << self.nbits) - 1
-
-    def getvalue(self) -> bytes:
-        if self.nbits:
-            self.buf.append((self.acc << (8 - self.nbits)) & 0xFF)
-            self.acc, self.nbits = 0, 0
-        return bytes(self.buf)
-
-
-def _write_run(bw: _BitWriter, run: int,
-               codes: Dict[int, Tuple[int, int]]) -> None:
-    while run >= 64:
-        mk = min(2560, (run // 64) * 64)
-        while mk not in codes and mk not in _EXT_CODES:
-            mk -= 64
-        v, ln = codes.get(mk) or _EXT_CODES[mk]
-        bw.write(v, ln)
-        run -= mk
-    v, ln = codes[run]
-    bw.write(v, ln)
-
-
-def _changes(row: np.ndarray) -> List[int]:
-    """Positions where the pixel color changes, alternating starting
-    from white (row: bool array, True = black)."""
-    diff = np.flatnonzero(row[1:] != row[:-1]) + 1
-    out = diff.tolist()
-    if row[0]:
-        out = [0] + out
-    return out
-
-
 def _b1_b2(ref: List[int], a0: int, color: int, columns: int
            ) -> Tuple[int, int]:
     """b1 = first reference-line change right of a0 of opposite color
@@ -265,45 +216,6 @@ def _b1_b2(ref: List[int], a0: int, color: int, columns: int
     b1 = ref[i] if i < n else columns
     b2 = ref[i + 1] if i + 1 < n else columns
     return min(b1, columns), min(b2, columns)
-
-
-def encode_g4(bitmap: np.ndarray) -> bytes:
-    """(H, W) array (nonzero = black) → G4/MMR bytes, EOFB-terminated.
-    Exists so tests and fixtures can author real payloads."""
-    bm = np.asarray(bitmap, dtype=bool)
-    rows, columns = bm.shape
-    bw = _BitWriter()
-    ref: List[int] = []
-    for r in range(rows):
-        cur = _changes(bm[r])
-        a0, color, ci = -1, 0, 0
-        while True:
-            a1 = cur[ci] if ci < len(cur) else columns
-            b1, b2 = _b1_b2(ref, a0, color, columns)
-            if b2 < a1:
-                bw.write(*_MODE_P)
-                a0 = b2
-            elif abs(a1 - b1) <= 3:
-                v, ln = _MODE_V[a1 - b1]
-                bw.write(v, ln)
-                a0 = a1
-                color ^= 1
-                ci += 1
-            else:
-                a2 = cur[ci + 1] if ci + 1 < len(cur) else columns
-                bw.write(*_MODE_H)
-                first = _WHITE_CODES if color == 0 else _BLACK_CODES
-                second = _BLACK_CODES if color == 0 else _WHITE_CODES
-                _write_run(bw, a1 - max(a0, 0), first)
-                _write_run(bw, a2 - a1, second)
-                a0 = a2
-                ci += 2
-            if a0 >= columns:
-                break
-        ref = cur
-    bw.write(*_EOL)
-    bw.write(*_EOL)  # EOFB
-    return bw.getvalue()
 
 
 def decode_g4(data: bytes, columns: int,

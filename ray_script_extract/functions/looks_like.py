@@ -172,10 +172,18 @@ def looks_like_changebar(lines: Sequence[str]) -> bool:
 
 _ZIP_RE = re.compile(r"[A-Z][A-Z],? [0-9]{5}(, USA)?$")
 _PHONE_RE = re.compile(r"[^0-9][0-9]{3}[-.][0-9]{3}[-.][0-9]{4}[^0-9]")
+# _PHONE_RE without its edges: a line it misses has no phone number, and
+# the regex engine skips to digits for it, where _PHONE_RE tries every
+# position
+_PHONE_DIGITS_RE = re.compile(r"[0-9]{3}[-.][0-9]{3}[-.][0-9]{4}")
 
 
 def looks_like_contact_info(lines: Sequence[str]) -> bool:
-    return any(_ZIP_RE.search(l) or _PHONE_RE.search(l) for l in lines)
+    for line in lines:
+        if _ZIP_RE.search(line) or (_PHONE_DIGITS_RE.search(line)
+                                    and _PHONE_RE.search(line)):
+            return True
+    return False
 
 
 _DATE_RES = [

@@ -155,26 +155,6 @@ def _encrypt_objects(objects: List[bytes], mode: str):
     return out, len(out), id0
 
 
-def helvetica_font_obj(embed_widths: bool = False,
-                       base: str = "Helvetica") -> bytes:
-    """A proportional standard-14 font object for fixtures.  With
-    ``embed_widths`` the dict carries the full AFM /Widths array
-    (32..126) so a no-/Widths fixture and its embedded twin must
-    segment identically — the cross-check that pins the engine's
-    internal standard-14 tables against the /Widths code path."""
-    if not embed_widths:
-        return (f"<< /Type /Font /Subtype /Type1 "
-                f"/BaseFont /{base} >>").encode()
-    from .pdfnative import _std14_widths
-
-    tbl = _std14_widths(base.split("-")[0], "Bold" in base,
-                        "Italic" in base or "Oblique" in base)
-    widths = " ".join(str(tbl[chr(c)]) for c in range(32, 127))
-    return (f"<< /Type /Font /Subtype /Type1 /BaseFont /{base} "
-            f"/FirstChar 32 /LastChar 126 "
-            f"/Widths [{widths}] >>").encode()
-
-
 def build_pdf(pages: List[Sequence[Tuple]],
               compress: bool = True, page_w: int = 612,
               page_h: int = 792, objstm: bool = False,

@@ -12,9 +12,11 @@ Dispatch per input span kind (FIXTURES.md §1):
 * ``html``          → one tokenizer pass straight to ``(kind, text)``
   records (no DOM tree, no ScriptObjects) → screenplay spans
 * ``text``          → passthrough ``Text`` spans
-* ``pdf_page_xml``  → line assembly + block engine (engine/)
+* ``pdf_page_xml``  → line assembly + block engine (engine/) →
+  ``(kind, text, page)`` records (no ScriptObjects)
 * ``pdf_raw``       → native PDF front-end → typed page records → line
-  assembly + block engine (no XML)
+  assembly + block engine (no XML) → the same records, each page's
+  images after the records that start on it
 * ``image``/``media`` → passthrough at their relative position
 
 A document is the atom of parallelism (the reference processed one
@@ -31,7 +33,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pyarrow as pa
 
-from ..engine.objects import json_type_name
 from ..schema import SPAN_STRUCT
 from ..sources.shakespeare import parse_shakespeare_text
 from .sizebucket import _per_row_text_bytes
@@ -67,8 +68,8 @@ class ExtractorActor:
 
         def flush_pages() -> None:
             if pending_pages:
-                out.extend([(json_type_name(obj.type), obj.content, "")
-                            for obj in self._pdf_extract(pending_pages)])
+                out.extend([(rec_kind, text, "") for rec_kind, text, _
+                            in self._pdf_extract(pending_pages)])
                 pending_pages.clear()
 
         for span in spans:
@@ -84,9 +85,9 @@ class ExtractorActor:
                 emit(("Text", span["text"], ""))
             elif kind == "pdf_raw":
                 # interleave content-addressed image spans at their
-                # page position: each page's images emit after that
-                # page's text objects (ScriptObject carries page_num)
-                objs, page_media = self._pdf_raw_extract(span["text"])
+                # page position: each page's images emit after the
+                # records whose first line sits on that page
+                script, page_media = self._pdf_raw_extract(span["text"])
                 cur_page = 1
 
                 def emit_media_through(page: int) -> None:
@@ -97,9 +98,9 @@ class ExtractorActor:
                                   m["ref"]))
                         cur_page += 1
 
-                for obj in objs:
-                    emit_media_through(obj.page_num - 1)
-                    emit((json_type_name(obj.type), obj.content, ""))
+                for rec_kind, text, page in script.records():
+                    emit_media_through(page - 1)
+                    emit((rec_kind, text, ""))
                 emit_media_through(len(page_media))
             elif kind in ("image", "media"):
                 emit((kind, "", span["media_ref"]))

@@ -153,7 +153,7 @@ def _pdf_xml(pages, **kw) -> List[str]:
 
 
 def _helv_fonts() -> dict:
-    from ray_script_extract.sources.pdf_fixtures import helvetica_font_obj
+    from tests.helpers import helvetica_font_obj
 
     return {"F4": helvetica_font_obj(embed_widths=False)}
 

@@ -42,12 +42,19 @@ def _dict_build(actor: ExtractorActor, batch: pa.Table) -> pa.Table:
     })
 
 
-def _pdf_with_images() -> str:
+FILLER = [f"Filler action line {k} with plenty of words to exceed the caps."
+          for k in range(10)]
+
+
+def _pdf_with_images(title_page: bool = False) -> str:
+    """Three pages, two images on page 1 and one on page 3; page 1 is a
+    title page or a page of script."""
     image = {"data": b"\xff\xd8fake-jpeg", "w": 32, "h": 16, "x": 72,
              "y": 600, "dw": 64, "dh": 32}
-    filler = [(96 + 24 * k, 108, f"Filler action line {k} with plenty of "
-               f"words to exceed the caps.") for k in range(10)]
-    pdf = build_pdf([[(72, 108, "INT. LAB - NIGHT")] + filler,
+    filler = [(96 + 24 * k, 108, line) for k, line in enumerate(FILLER)]
+    page1 = ([(300, 250, "THE LAB"), (336, 230, "Written by A. Writer")]
+             if title_page else [(72, 108, "INT. LAB - NIGHT")] + filler)
+    pdf = build_pdf([page1,
                      [(72, 108, "EXT. STREET - DAY")] + filler,
                      [(72, 108, "INT. CAR - DAY")]],
                     images=[[image, dict(image, x=200)], [],
@@ -73,6 +80,8 @@ CASES = {
     "pdf_raw_images": [("d0", [_span("text", "cover note"),
                                _span("pdf_raw", _pdf_with_images()),
                                _span("image", media_ref="img://tail")])],
+    "pdf_raw_title_images": [("d0", [
+        _span("pdf_raw", _pdf_with_images(title_page=True))])],
     "corpus": [(d["doc_id"], d["spans"])
                for d in (make_doc(3, i, "small") for i in range(12))],
 }
@@ -97,15 +106,33 @@ def test_sink_equals_the_dict_build(case, with_doc_bytes):
     assert got.equals(expected)
 
 
+def _kinds_and_texts(case: str) -> list:
+    spans = ExtractorActor()(_table(CASES[case])).column("spans").to_pylist()
+    return [(span["kind"], span["text"]) for span in spans[0]]
+
+
+def test_page_images_follow_their_page():
+    """Each page's images come right after the text that starts on that
+    page, whether or not page 1 is a title page; the input's own image
+    span stays last."""
+    image = ("image", "32x16")
+    page2 = [("Scene", "EXT. STREET - DAY")] + [("Action", line)
+                                                for line in FILLER]
+    page3 = [("Scene", "INT. CAR - DAY"), image]
+    assert _kinds_and_texts("pdf_raw_images") == (
+        [("Text", "cover note"), ("Scene", "INT. LAB - NIGHT")]
+        + [("Action", line) for line in FILLER] + [image, image]
+        + page2 + page3 + [("image", "")])
+    blank = ("Text", "")
+    title_page = ([blank] * 19 + [("Title", "THE LAB"), blank, blank,
+                                  ("Text", "Written by"),
+                                  ("Author", "A. Writer")])
+    assert _kinds_and_texts("pdf_raw_title_images") == (
+        title_page + [image, image] + page2 + page3)
+
+
 def test_sink_cases_are_not_vacuous():
     actor = ExtractorActor()
-    kinds = actor(_table(CASES["pdf_raw_images"])).column(
-        "spans").to_pylist()[0]
-    images = [s["offset"] for s in kinds if s["kind"] == "image"]
-    texts = [s["offset"] for s in kinds if s["text"] == "EXT. STREET - DAY"]
-    # page-1 images between page-1 and page-2 text; the page-3 one and
-    # the trailing input image after the last page's text
-    assert len(images) == 4 and images[1] < texts[0] < images[2]
     over = actor(_table(CASES["over_limit"]))
     assert over.column("n_spans").to_pylist() == [1, 0, 1]
     nulls = actor(_table(CASES["unknown_kinds"])).column("spans").to_pylist()

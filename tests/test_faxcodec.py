@@ -13,16 +13,13 @@ import pytest
 from ray_script_extract.functions.faxcodec import (
     _BLACK_CODES,
     _EXT_CODES,
-    _MODE_H,
-    _MODE_P,
-    _MODE_V,
     _WHITE_CODES,
     decode_g4,
     decode_tiff_g4,
-    encode_g4,
     parse_tiff_g4,
     wrap_tiff_g4,
 )
+from tests.helpers import _MODE_H, _MODE_P, _MODE_V, encode_g4
 
 
 def _bits(value: int, length: int) -> str:

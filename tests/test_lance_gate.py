@@ -39,7 +39,7 @@ def test_lance_roundtrip(tmp_path, ray_session):
         write_corpus,
     )
 
-    from ray_script_extract.corpus import corpus_dataset
+    from tests.helpers import corpus_dataset
 
     # round-trip the REAL interleaved schema (doc_id, spans
     # list<struct<kind,text,media_ref,offset>>), not a toy range

@@ -407,10 +407,8 @@ def test_jpeg_roundtrip_and_psnr():
     import numpy as np
 
     from ray_script_extract.functions.imagecodec import decode_image
-    from ray_script_extract.functions.jpegcodec import (
-        decode_jpeg,
-        encode_jpeg,
-    )
+    from ray_script_extract.functions.jpegcodec import decode_jpeg
+    from tests.helpers import encode_jpeg
 
     img = np.zeros((48, 80, 3), np.uint8)
     img[:, :, 0] = np.linspace(0, 255, 80)[None, :].astype(np.uint8)
@@ -450,7 +448,7 @@ def test_jpeg_reencodes_band_as_near_dups():
     import pyarrow as pa
     import ray.data
 
-    from ray_script_extract.functions.jpegcodec import encode_jpeg
+    from tests.helpers import encode_jpeg
     from ray_script_extract.pipelines.multimodal import (
         MEDIA_SCHEMA,
         near_dup_images_from_media,

@@ -33,12 +33,6 @@ ALLOWED_TEST_ONLY = {
                    "parquet; kept for the Lance round trip",
     "write_corpus": "the Lance table gate's writer, paired with "
                     "read_corpus",
-    "corpus_dataset": "test fixture: the synthetic corpus as a Dataset",
-    "encode_g4": "test fixture: a CCITT G4 encoder for the decoder's "
-                 "round trips",
-    "encode_jpeg": "test fixture: a baseline JPEG encoder for the "
-                   "decoder's round trips",
-    "helvetica_font_obj": "test fixture: a proportional-font PDF object",
     "predict_lang": "test reference: the per-document twin of the "
                     "distributed language id",
     "parse_html_stdlib": "test reference: the stdlib HTML parser the "

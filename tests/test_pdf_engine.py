@@ -202,7 +202,7 @@ def test_single_page_doc_is_empty():
     sentinel → broken no-formfeed branch → no objects."""
     pb = PageBuilder(number=1)
     _dense(pb)
-    assert parse_pages_xml([pb.xml()]) == []
+    assert list(parse_pages_xml([pb.xml()])) == []
 
 
 def test_transition_right_aligned_uppercase():

@@ -36,7 +36,8 @@ def test_mix_proportions_and_default_stability():
 def test_pdf_heavy_corpus_extracts(tmp_path):
     import ray.data
 
-    from ray_script_extract.corpus import corpus_dataset, write_corpus_parquet
+    from ray_script_extract.corpus import write_corpus_parquet
+    from tests.helpers import corpus_dataset
     from ray_script_extract.pipelines.extract_pipeline import \
         build_extract_pipeline
 

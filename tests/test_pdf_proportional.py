@@ -15,10 +15,10 @@ import re
 
 from ray_script_extract.engine.pagexml import DocState, process_page_xml
 from ray_script_extract.engine.parse_text import parse_pages_xml
-from ray_script_extract.sources.pdf_fixtures import (build_pdf,
-                                                     helvetica_font_obj)
+from ray_script_extract.sources.pdf_fixtures import build_pdf
 from ray_script_extract.sources.pdfnative import (_std14_widths,
                                                   pdf_to_page_xml)
+from tests.helpers import helvetica_font_obj
 
 HELV = {"F4": helvetica_font_obj(embed_widths=False)}
 

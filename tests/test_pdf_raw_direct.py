@@ -29,10 +29,10 @@ from ray_script_extract.engine.pdfdoc import (convert_pdf_raw_document,
                                               extract_pdf_raw_document_with_media)
 from ray_script_extract.sources import pdfnative
 from ray_script_extract.sources.pdf_fixtures import (build_pdf,
-                                                     helvetica_font_obj,
                                                      screenplay_pdf_lines)
 from ray_script_extract.sources.pdfnative import (pdf_page_records,
                                                   pdf_to_page_xml)
+from tests.helpers import helvetica_font_obj
 from tests.test_pdf_encodings import WINANSI_FONT
 from tests.test_pdf_inline_tounicode import _CMAP, _FONT_TU, _mini_pdf
 from tests.test_pdf_interpreter_fuzz import (_pdf_around, _pdf_with_form,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 
-from ray_script_extract.sources.pdf_fixtures import (build_pdf,
-                                                     helvetica_font_obj)
+from ray_script_extract.sources.pdf_fixtures import build_pdf
 from ray_script_extract.sources.pdfnative import pdf_to_page_xml
+from tests.helpers import helvetica_font_obj
 
 HELV = {"F4": helvetica_font_obj(embed_widths=False)}
 

@@ -38,6 +38,36 @@ def test_white_out_idempotent_on_targets(s):
     assert white_out(once) == once
 
 
+# the block engine's shortcuts against the definitions they replaced
+_WHITE_OUT_ANCHOR = re.compile(r"CONT|MORE", re.IGNORECASE)
+_ACTION_VERB = re.compile(
+    r"([Ww]e see|enters|faces|looks|smiles|stares|walks|As (she|he|they))")
+_PHONE = re.compile(r"[^0-9][0-9]{3}[-.][0-9]{3}[-.][0-9]{4}[^0-9]")
+_ZIP = re.compile(r"[A-Z][A-Z],? [0-9]{5}(, USA)?$")
+_SHORTCUT_TEXT = st.lists(st.sampled_from(
+    ["cont", "CONT", "Cont'd", "(MORE)", "more", "mo", "re", "ſ", "K", "ı",
+     "We see", "we see", "We", " see", "enters", "As she", "As he",
+     "As they", "as she", "walks", "555", "-", ".", "1234", "0", "x",
+     " ", "IL 62704", ", USA", "(", ")"]), max_size=12).map("".join)
+
+
+@given(st.one_of(TEXT, _SHORTCUT_TEXT))
+@settings(max_examples=500)
+def test_block_engine_shortcuts_equal_their_definitions(s):
+    from ray_script_extract.engine import blocks
+    from ray_script_extract.functions.looks_like import (
+        looks_like_contact_info)
+
+    assert white_out(s) == (blocks._WHITE_OUT_ONE.sub(
+        lambda m: " " * (m.end() - m.start()), s)
+        if _WHITE_OUT_ANCHOR.search(s) else s)
+    assert bool(blocks._ACTION_VERB_RE.search(s)) == bool(
+        _ACTION_VERB.search(s))
+    lines = [s, s[::-1], s[1:]]
+    assert looks_like_contact_info(lines) == any(
+        _ZIP.search(line) or _PHONE.search(line) for line in lines)
+
+
 @given(TEXT)
 @settings(max_examples=200)
 def test_reduce_spaces_idempotent(s):
@@ -86,13 +116,13 @@ def test_tab_expansion_alignment():
     """Tabs expand to the next multiple-of-8 column (ParseText.php
     :1020-1027 semantics, exercised through parse_page)."""
     from ray_script_extract.engine.pagexml import LineObject
-    from ray_script_extract.engine.parse_text import TextParser
+    from ray_script_extract.engine.parse_text import Script, TextParser
 
     for prefix in ("", "a", "abcdefg", "abcdefgh"):
         lo = LineObject(prefix + "\tX", 0, 0, "", {}, 16, {}, {})
         parser = TextParser(None)
         parser.parse_page([lo], False, "")
-        joined = "".join(o.content for o in parser.objects)
+        joined = "".join(o.content for o in Script(parser.items))
         assert "\t" not in joined
 
 
