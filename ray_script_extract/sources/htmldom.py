@@ -2,8 +2,8 @@
 
 Builds a tree from tag-soup HTML with the implicit-close rules that
 loose HTML parsing applies (a ``<p>`` is closed by a following block
-element, anchors never nest, table cells auto-close, …).  This is the
-DOM the shakespeare reader walks; the reference used a libxml-backed
+element, anchors never nest, table cells auto-close, …); the play
+reader's one pass shares them.  The reference used a libxml-backed
 DOM (`/root/reference/src/parser/analyzer/ParseShakespeare.php:19-20`),
 so the auto-close behavior here is tuned to match libxml on the golden
 corpus inputs.
@@ -11,8 +11,8 @@ corpus inputs.
 
 from __future__ import annotations
 
+import html as _html
 import re
-from html.parser import HTMLParser
 from typing import List, Optional, Union
 
 VOID_ELEMENTS = frozenset({
@@ -79,87 +79,69 @@ class Node:
         return [c for c in self.children if isinstance(c, Node)]
 
 
-class _TreeBuilder(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = Node("#document")
-        self._stack: List[Node] = [self.root]
-
-    def _top(self) -> Node:
-        return self._stack[-1]
-
-    def handle_starttag(self, tag: str, attrs) -> None:
-        while len(self._stack) > 1 and tag in _CLOSED_BY.get(self._top().tag, ()):
-            self._stack.pop()
-        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs},
-                    self._top())
-        self._top().children.append(node)
-        if tag not in VOID_ELEMENTS:
-            self._stack.append(node)
-
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs},
-                    self._top())
-        self._top().children.append(node)
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag in VOID_ELEMENTS:
-            return
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
-                return
-        # close tag with no matching open: ignored
-
-    def handle_data(self, data: str) -> None:
-        if data:
-            self._top().children.append(data)
-
-
-# ---------------------------------------------------------------------------
-# Fast path: regex tokenizer building the same tree with the same
-# auto-close rules — ~4x faster than html.parser on this corpus and
-# validated against the 37-pair golden suite.  Falls back to
-# html.parser for inputs with constructs the tokenizer doesn't model.
-# ---------------------------------------------------------------------------
-
-import html as _html
-
 _TOKEN = re.compile(
-    r"<!--.*?-->"                      # comments
-    r"|<!\[CDATA\[.*?\]\]>"            # CDATA
-    r"|<![^>]*>"                       # doctype / other declarations
-    r"|<\?[^>]*>"                      # processing instructions
-    r"|</\s*([A-Za-z][-A-Za-z0-9:_.]*)\s*>"          # end tag
-    r"|<([A-Za-z][-A-Za-z0-9:_.]*)"                  # start tag name
-    r"((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>",      # attrs, self-close
+    r"<(?:!--.*?-->"                            # comments
+    r"|!\[CDATA\[.*?\]\]>"                      # CDATA
+    r"|![^>]*+>"                                # doctype / declarations
+    r"|\?[^>]*+>"                               # processing instructions
+    r"|/\s*+([A-Za-z][-A-Za-z0-9:_.]*+)\s*+>"   # end tag
+    r"|([A-Za-z][-A-Za-z0-9:_.]*+)"             # start tag name
+    r"((?:[^>\"'/]++|/(?!>)|\"[^\"]*+\"|'[^']*+')*+)"  # attributes
+    r"(/?)>)",                                  # self-close mark
     re.S)
+# A start tag's attributes run to the first ``>`` or ``/>`` outside
+# quotes.  The loop's alternatives are told apart by their first
+# character (a run of plain characters, a ``/`` not before ``>``, a
+# quoted value), so it has only one way to read any text and never
+# needs to backtrack: the possessive loop ends exactly where a lazy one
+# (``(?:[^>"']|"[^"]*"|'[^']*')*?``) would first find ``/?>``, and an
+# unclosed quote fails the tag either way.  The name runs are possessive
+# for the same reason (what follows each cannot extend it), and the
+# shared ``<`` is a literal prefix the scanner searches for directly.
+# ``tests/test_htmldom_tokens.py`` holds the split to the lazy pattern.
 
 _ATTR = re.compile(
     r"([A-Za-z_:][-A-Za-z0-9_:.]*)"
     r"(?:\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s>]*))?")
 
 
+def _decode_value(val: Optional[str]) -> str:
+    """An ``_ATTR`` value group as the attribute's text: no value reads
+    as "", quotes come off, entities are unescaped."""
+    if val is None:
+        return ""
+    if val[:1] in ("'", '"'):
+        val = val[1:-1]
+    return _html.unescape(val) if "&" in val else val
+
+
 def _parse_attrs(raw: str) -> dict:
     attrs = {}
     for m in _ATTR.finditer(raw):
-        name = m.group(1).lower()
-        val = m.group(2)
-        if val is None:
-            val = ""
-        elif val[:1] in ("'", '"'):
-            val = val[1:-1]
-        if "&" in val:
-            val = _html.unescape(val)
-        attrs.setdefault(name, val)
+        attrs.setdefault(m.group(1).lower(), _decode_value(m.group(2)))
     return attrs
 
 
-def _parse_html_fast(text: str) -> Node:
+def attr_value(raw: str, name: str) -> Optional[str]:
+    """The value ``_parse_attrs(raw)`` holds for ``name`` (lower case),
+    read from the first ``name`` attribute without decoding the rest."""
+    m = _ATTR.search(raw)
+    while m is not None:
+        key, val = m.groups()
+        if key.lower() == name:
+            return _decode_value(val)
+        m = _ATTR.search(raw, m.end())
+    return None
+
+
+def parse_html(text: str) -> Node:
+    """The lenient DOM of ``text``: one ``_TOKEN`` scan with the
+    implicit-close rules above.  Comments, declarations and processing
+    instructions are dropped; script/style content is not lexed as raw
+    text (no supported input has markup inside it)."""
     root = Node("#document")
     stack = [root]
     pos = 0
-    append = list.append
     for m in _TOKEN.finditer(text):
         if m.start() > pos:
             data = text[pos:m.start()]
@@ -186,26 +168,9 @@ def _parse_html_fast(text: str) -> Node:
                 if stack[i].tag == tag:
                     del stack[i:]
                     break
-        # comments/doctype/PI: dropped
     if pos < len(text):
         data = text[pos:]
         if "&" in data:
             data = _html.unescape(data)
         stack[-1].children.append(data)
     return root
-
-
-def parse_html(text: str) -> Node:
-    # script/style content (raw text elements) would need special
-    # lexing; none of the supported corpus uses them with markup
-    # inside, so the fast tokenizer is the default path.
-    return _parse_html_fast(text)
-
-
-def parse_html_stdlib(text: str) -> Node:
-    """html.parser-backed reference implementation (kept for
-    differential testing)."""
-    b = _TreeBuilder()
-    b.feed(text)
-    b.close()
-    return b.root

@@ -392,9 +392,11 @@ _STR_ESCAPES = {0x6E: b"\n", 0x72: b"\r", 0x74: b"\t", 0x62: b"\b",
 # (checked on the first byte)
 _CS_SPLIT_MISREADS = frozenset((b"true", b"false", b"null", b"BI"))
 # operators that read every operand through float(), so a numbers-only
-# operation can hand them the split's byte tokens untyped
-_CS_FLOAT_OPS = frozenset((b"Tm", b"Td", b"TD", b"TL", b"Tc", b"Tw", b"Tz",
-                           b"Ts", b"Tr", b"cm", b"rg", b"g", b"k"))
+# operation can hand them the split's byte tokens untyped, with the
+# number of operands each reads (the last ones)
+_CS_FLOAT_OPS = {b"Tm": 6, b"Td": 2, b"TD": 2, b"TL": 1, b"Tc": 1, b"Tw": 1,
+                 b"Tz": 1, b"Ts": 1, b"Tr": 1, b"cm": 6, b"rg": 3, b"g": 1,
+                 b"k": 4}
 
 
 def _unescape(m: "re.Match") -> bytes:
@@ -1425,11 +1427,18 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
     resources = doc.resolve(page.get("/Resources")) or {}
 
     def load_resources(res: Dict) -> Tuple[Dict, Dict]:
-        font_res = doc.resolve(res.get("/Font")) or {}
-        fonts = {name: doc.font(doc.resolve(fd))
-                 for name, fd in font_res.items()}
-        xobjects = doc.resolve(res.get("/XObject")) or {}
-        return fonts, xobjects
+        font_res = doc.resolve(res.get("/Font"))
+        fonts = {}
+        if isinstance(font_res, dict):
+            for name, fd in font_res.items():
+                fd = doc.resolve(fd)
+                # a font that is not a dict (a damaged file) is left
+                # out: a Tf naming it selects no font, as for an
+                # unknown name
+                if isinstance(fd, dict):
+                    fonts[name] = doc.font(fd)
+        xobjects = doc.resolve(res.get("/XObject"))
+        return fonts, xobjects if isinstance(xobjects, dict) else {}
 
     page_fonts, page_xobjects = load_resources(resources)
 
@@ -1569,18 +1578,24 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
         for nums, plain, args, op, _ in zip(fields, fields, fields,
                                             fields, fields):
             # the operands: a float-only operator reads the split's
-            # number tokens as they are; the rest get them typed
+            # number tokens as they are; the rest get them typed.  A
+            # float-only operator given a non-number among the operands
+            # it reads (a damaged stream) is skipped, as sc/scn skip one
             if nums is not None:
                 stack = (nums.split() if op in _CS_FLOAT_OPS
                          else _cs_operands(nums))
             elif plain is not None:
+                if op in _CS_FLOAT_OPS:
+                    continue
                 stack = (plain,)
             elif args is None:
                 stack = ()
-            elif type(args) is bytes:
-                stack = _cs_operands(args)
             else:
-                stack = args
+                stack = _cs_operands(args) if type(args) is bytes else args
+                n = _CS_FLOAT_OPS.get(op)
+                if n and not all(isinstance(v, (int, float))
+                                 for v in stack[-n:]):
+                    continue
             # text showing and positioning first: they are almost all
             # of a text page's operations
             if op == b"Tj":
@@ -1605,7 +1620,9 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                                 -float(item) / 1000.0 * size * hscale,
                                 0.0, tm)
             elif op == b"Tf":
-                if len(stack) >= 2:
+                # skipped, as above, unless given a name and a number
+                if (len(stack) >= 2 and isinstance(stack[-2], str)
+                        and isinstance(stack[-1], (int, float))):
                     size = float(stack[-1])
                     fname = stack[-2]
                     font = fonts.get(fname)
@@ -1727,7 +1744,9 @@ def _extract_page_runs(doc: PdfDocument, page: Dict
                 tlm = _mat_translate(0.0, -leading, tlm)
                 tm = tlm
                 show(stack[-1] if isinstance(stack[-1], (bytes, bytearray)) else b"")
-            elif op == b'"' and len(stack) >= 3:
+            elif (op == b'"' and len(stack) >= 3
+                  and isinstance(stack[-3], (int, float))
+                  and isinstance(stack[-2], (int, float))):
                 # aw ac string ": set word + char spacing, then act
                 # like ' (next line + show) — spec table 109
                 word_spacing = float(stack[-3])

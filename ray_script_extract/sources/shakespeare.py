@@ -23,20 +23,24 @@ Behavioral spec re-derived from the reference's shakespeare reader
 ``htmldom._TOKEN.split`` of the document, read five fields per tag
 (end name, start name, attributes, self-close mark, text after), so
 no ``re.Match`` is built and no text is sliced.  The pass keeps only a
-stack of open tag names (with the tree builder's implicit-close
-rules), closes a matching top element inline, skips a void or
-self-closed tag the walk does not read once its implicit closes have
-run, collects text only under the elements the walk reads (joined and
-collapsed when the element closes), and yields the play as
-``(JSON kind, text)`` records.  ``parse_shakespeare_dom`` is the walk
-above over the full ``parse_html`` tree, kept as its test-side
+stack of open tag names and their roles.  Per start tag it runs the
+tree builder's implicit closes from a table of what the tag closes,
+finds the child's role in a table of its parent's role, and finds the
+first ``head`` and ``body`` in a two-entry table it empties as it
+goes.  It reads only the ``name`` of a body-level anchor, and decodes
+no other attribute.  It closes a matching top element inline, skips a
+void or self-closed tag the walk does not read once its implicit
+closes have run, collects text only under the elements the walk reads
+(joined and collapsed when the element closes), and yields the play
+as ``(JSON kind, text)`` records.  ``parse_shakespeare_dom`` is the
+walk above over the full ``parse_html`` tree, kept as its test-side
 reference (``tests/test_html_play_records.py``).
 """
 
 from __future__ import annotations
 
 import html as _html
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..engine.objects import ScriptObject, internal_type_name
 from ..functions.textutil import (
@@ -44,7 +48,7 @@ from ..functions.textutil import (
     is_prefix,
     strip_color_formatting,
 )
-from .htmldom import _CLOSED_BY, _TOKEN, VOID_ELEMENTS, _parse_attrs, parse_html
+from .htmldom import _CLOSED_BY, _TOKEN, VOID_ELEMENTS, attr_value, parse_html
 
 ENTIRE_PLAY_SUFFIX_LEN = len(": Entire Play")
 AUTHOR = "William Shakespeare"
@@ -63,15 +67,20 @@ _BY_LINE = len(_TITLE_PAGE_BEFORE) + 4
 # roles of the elements the walk reads; 0 is every other element.
 # Roles from _TITLE on collect their descendant text.
 _HEAD, _BODY, _QUOTE, _TITLE, _SPEECH, _H3, _LINE, _PARA = range(1, 9)
-# (parent role, tag) -> role; the first head/body are found by tag
-_CHILD_ROLE = {
-    (_HEAD, "title"): _TITLE,
-    (_BODY, "a"): _SPEECH,  # only with a name="speech…" attribute
-    (_BODY, "h3"): _H3,
-    (_BODY, "blockquote"): _QUOTE,
-    (_QUOTE, "a"): _LINE,
-    (_QUOTE, "p"): _PARA,
-}
+# per parent role (the index), tag -> the child's role
+_CHILD_ROLES: Tuple[Dict[str, int], ...] = (
+    {},  # every other element
+    {"title": _TITLE},  # _HEAD
+    # _BODY; an "a" is a speech only with a name="speech…" attribute
+    {"a": _SPEECH, "h3": _H3, "blockquote": _QUOTE},
+    {"a": _LINE, "p": _PARA},  # _QUOTE
+) + ({},) * 5  # the collectors
+# the first head and the first body, wherever they are, found by tag
+_FIRSTS = {"head": _HEAD, "body": _BODY}
+# start tag -> the open elements it closes implicitly (_CLOSED_BY read
+# the other way round)
+_CLOSES = {tag: frozenset(e for e, by in _CLOSED_BY.items() if tag in by)
+           for tag in frozenset().union(*_CLOSED_BY.values())}
 
 
 def _append_records(records: List[Record], role: int, content: str) -> None:
@@ -116,13 +125,18 @@ def parse_shakespeare_text(html_text: str) -> List[Record]:
     chunks: List[str] = []  # text under the open collectors
     records: List[Record] = []
     title = ""
-    seen_head = seen_body = False
+    firsts = dict(_FIRSTS)  # popped as each is seen
+    unescape = _html.unescape
+    collapse = collapse_blanks_and_newlines
 
     def close(role: int) -> None:
         """Route the text of a collector that just closed."""
         nonlocal title
-        content = collapse_blanks_and_newlines("".join(chunks[starts.pop():]))
-        if not starts:
+        start = starts.pop()
+        if starts:  # the enclosing collector keeps the chunks
+            content = collapse("".join(chunks[start:]))
+        else:
+            content = collapse("".join(chunks))
             chunks.clear()
         if role == _TITLE:
             title = content[: len(content) - ENTIRE_PLAY_SUFFIX_LEN]
@@ -145,18 +159,18 @@ def parse_shakespeare_text(html_text: str) -> List[Record]:
             fields, fields, fields, fields, fields):
         if start_name is not None:
             tag = start_name.lower()
-            # the root "#document" has no _CLOSED_BY entry
-            while tag in _CLOSED_BY.get(stack[-1], ()):
-                unwind(len(stack) - 1)
-            parent = roles[-1]
-            role = _CHILD_ROLE.get((parent, tag), 0) if parent else 0
-            if role == _SPEECH and not is_prefix(
-                    _parse_attrs(attr_raw).get("name") or "", "speech"):
-                role = 0  # non-speech anchors at body level are dropped
-            elif tag == "head" and not seen_head:
-                role, seen_head = _HEAD, True
-            elif tag == "body" and not seen_body:
-                role, seen_body = _BODY, True
+            closes = _CLOSES.get(tag)
+            if closes is not None:
+                # the root "#document" is never closed
+                while stack[-1] in closes:
+                    unwind(len(stack) - 1)
+            role = _CHILD_ROLES[roles[-1]].get(tag, 0)
+            if role == _SPEECH:
+                if not (attr_value(attr_raw, "name") or "").startswith(
+                        "speech"):
+                    role = 0  # non-speech anchors at body level are dropped
+            elif not role and firsts:
+                role = firsts.pop(tag, 0)
             if self_close or tag in VOID_ELEMENTS:
                 if role >= _TITLE:  # closed as soon as opened, with no text
                     starts.append(len(chunks))
@@ -180,7 +194,7 @@ def parse_shakespeare_text(html_text: str) -> List[Record]:
                         break
         # comments/doctype/PI: dropped
         if text and starts:
-            chunks.append(_html.unescape(text) if "&" in text else text)
+            chunks.append(unescape(text) if "&" in text else text)
     unwind(1)
 
     out = _TITLE_PAGE_BEFORE + [("Title", strip_color_formatting(title))]

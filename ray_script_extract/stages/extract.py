@@ -10,7 +10,8 @@ in a plain task pool.
 Dispatch per input span kind (FIXTURES.md §1):
 
 * ``html``          → one tokenizer pass straight to ``(kind, text)``
-  records (no DOM tree, no ScriptObjects) → screenplay spans
+  records (no DOM tree, no ScriptObjects, one attribute read per
+  speech anchor) → screenplay spans
 * ``text``          → passthrough ``Text`` spans
 * ``pdf_page_xml``  → line assembly + block engine (engine/) →
   ``(kind, text, page)`` records (no ScriptObjects)
@@ -119,16 +120,16 @@ class ExtractorActor:
         """One batch of documents → ``(doc_id, spans, n_spans)``.
 
         Every document's records go into per-batch column lists, and
-        the span ``ListArray`` is built from them once.  A document
-        whose span texts total over ``MAX_DOC_BYTES`` of UTF-8 gets no
-        spans."""
+        the span ``ListArray`` is built from them once; the spans'
+        offsets come from the documents' bounds in one array pass.  A
+        document whose span texts total over ``MAX_DOC_BYTES`` of UTF-8
+        gets no spans."""
         doc_ids = batch.column("doc_id").to_pylist()
         spans_in = batch.column("spans").combine_chunks()
         sizes = _per_row_text_bytes(spans_in).tolist() if len(batch) else []
         kinds: List[str] = []
         texts: List[str] = []
         refs: List[str] = []
-        offsets: List[int] = []
         ends = [0]
         # A document's engine state lives until its records are out, long
         # enough to survive young collections and set off full ones, each
@@ -147,20 +148,24 @@ class ExtractorActor:
                         kinds += k
                         texts += t
                         refs += r
-                        offsets += range(len(records))
                 ends.append(len(kinds))
         finally:
             if collecting:
                 gc.enable()
+        bounds = np.asarray(ends, np.int32)
+        n_spans = np.diff(bounds)
+        # a span's offset is its position in its document
+        offsets = (np.arange(len(kinds), dtype=np.int32)
+                   - np.repeat(bounds[:-1], n_spans))
         columns = [pa.array(kinds, pa.string()), pa.array(texts, pa.string()),
                    pa.array(refs, pa.string()), pa.array(offsets, pa.int32())]
         spans_out = pa.ListArray.from_arrays(
-            pa.array(ends, pa.int32()),
+            pa.array(bounds, pa.int32()),
             pa.StructArray.from_arrays(columns, fields=list(SPAN_STRUCT)))
         return pa.table({
             "doc_id": pa.array(doc_ids, pa.string()),
             "spans": spans_out,
-            "n_spans": pa.array(np.diff(ends), pa.int64()),
+            "n_spans": pa.array(n_spans, pa.int64()),
         })
 
 

@@ -5,12 +5,15 @@ the tests author real payloads for those decoders (two rasterizations
 or re-encodes of one image must band together as near-dups) and share
 the decoders' tables.  ``corpus_dataset`` is the synthetic corpus as a
 lazy Ray Dataset, and ``helvetica_font_obj`` a proportional-font PDF
-object for ``build_pdf``'s ``extra_fonts``.
+object for ``build_pdf``'s ``extra_fonts``.  ``parse_html_stdlib``
+is the ``html.parser``-backed twin of ``htmldom.parse_html`` that the
+tokenizer is held to.
 """
 
 from __future__ import annotations
 
 import struct
+from html.parser import HTMLParser
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -21,6 +24,7 @@ from ray_script_extract.functions.faxcodec import (_BLACK_CODES, _EOL,
                                                    _b1_b2)
 from ray_script_extract.functions.jpegcodec import (ZIGZAG, _C,
                                                     _huff_canonical)
+from ray_script_extract.sources.htmldom import _CLOSED_BY, VOID_ELEMENTS, Node
 from ray_script_extract.sources.pdfnative import _std14_widths
 
 # -- CCITT G4 (ITU-T T.6) ------------------------------------------------
@@ -371,3 +375,51 @@ def helvetica_font_obj(embed_widths: bool = False,
     return (f"<< /Type /Font /Subtype /Type1 /BaseFont /{base} "
             f"/FirstChar 32 /LastChar 126 "
             f"/Widths [{widths}] >>").encode()
+
+
+# -- the stdlib HTML tree builder ----------------------------------------
+
+class _TreeBuilder(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root = Node("#document")
+        self._stack: List[Node] = [self.root]
+
+    def _top(self) -> Node:
+        return self._stack[-1]
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        while len(self._stack) > 1 and tag in _CLOSED_BY.get(self._top().tag, ()):
+            self._stack.pop()
+        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs},
+                    self._top())
+        self._top().children.append(node)
+        if tag not in VOID_ELEMENTS:
+            self._stack.append(node)
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs},
+                    self._top())
+        self._top().children.append(node)
+
+    def handle_endtag(self, tag: str) -> None:
+        if tag in VOID_ELEMENTS:
+            return
+        for i in range(len(self._stack) - 1, 0, -1):
+            if self._stack[i].tag == tag:
+                del self._stack[i:]
+                return
+        # close tag with no matching open: ignored
+
+    def handle_data(self, data: str) -> None:
+        if data:
+            self._top().children.append(data)
+
+
+def parse_html_stdlib(text: str) -> Node:
+    """``html.parser``-backed reference for ``htmldom.parse_html`` (the
+    same implicit-close rules, the stdlib's lexer)."""
+    b = _TreeBuilder()
+    b.feed(text)
+    b.close()
+    return b.root

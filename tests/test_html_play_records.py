@@ -216,6 +216,68 @@ def test_reader_shortcuts_match_reference(html):
     _assert_same(html)
 
 
+# -- the walk's tables: the speech name, the first head/body, closes -----
+
+_WALK_CASES = {
+    # the speech anchor's name: case, quoting, entities
+    "NAME upper": "<body><a NAME=speech1>A</a></body>",
+    "Name mixed": "<body><a Name=speech1>A</a><a nAmE=speech2>B</a></body>",
+    "double-quoted": '<body><a name="speech1">A</a></body>',
+    "single-quoted": "<body><a name='speech1'>A</a></body>",
+    "blanks around =": "<body><a name = 'speech1' >A</a></body>",
+    "entity in name": "<body><a name=&#115;peech1>A</a>"
+                      '<a name="sp&#101;ech2">B</a></body>',
+    "entity in quoted name": "<body><a href=x name='&#115;peech1'>A</a>"
+                             "</body>",
+    # name=speech… that is not the name attribute does not count
+    "inside another value": '<body><a title="name=speech1">A</a>'
+                            "<a title='x name=speech2'>B</a></body>",
+    "prefix of another name": "<body><a myname=speech1>A</a>"
+                              "<a name_=speech2>B</a></body>",
+    # the first name attribute wins, with or without a value
+    "duplicate, other first": "<body><a name=other name=speech1>A</a>"
+                              "</body>",
+    "duplicate, speech first": "<body><a name=speech1 NAME=other>A</a>"
+                               "</body>",
+    "name without value": "<body><a name>A</a><a name name=speech1>B</a>"
+                          "</body>",
+    "empty name": '<body><a name="">A</a><a name=>B</a></body>',
+    # only the first head and the first body are read
+    "second head": "<head><title>A: Entire Play</title></head>"
+                   "<head><title>B: Entire Play</title></head>",
+    "second body": "<body><a name=speech1>A</a></body>"
+                   "<body><a name=speech2>B</a></body>",
+    "body inside head": "<head><body><a name=speech1>A</a></body>"
+                        "<title>T: Entire Play</title></head>",
+    # self-closed speech and scene heading
+    "self-closed speech": "<body><A NAME=speech1 /><a name=speech2/>"
+                          "<a name=speech3>C</a></body>",
+    "self-closed h3": "<body><H3/><h3 />ACT I<h3>ACT II</h3></body>",
+    # a blockquote closes an open <p> implicitly
+    "p closed by blockquote at body level":
+        "<body><p>stray<blockquote><a name=1>line</a></blockquote></body>",
+    "p closed by blockquote in blockquote":
+        "<body><blockquote><p>Exit all<blockquote><a name=1>x</a>"
+        "</blockquote><p>To him</blockquote></body>",
+}
+
+
+@pytest.mark.parametrize("html", _WALK_CASES.values(), ids=_WALK_CASES)
+def test_walk_cases_match_reference(html):
+    _assert_same(html)
+
+
+def test_speech_name_reads_only_the_first_name_attribute():
+    assert _both(_WALK_CASES["inside another value"]) == []
+    assert _both(_WALK_CASES["duplicate, other first"]) == []
+    assert _both(_WALK_CASES["duplicate, speech first"]) == [
+        ("Character", "A")]
+    assert _both(_WALK_CASES["name without value"]) == []
+    assert _both(_WALK_CASES["entity in name"]) == [("Character", "A & B")]
+    assert _title(_WALK_CASES["second head"]) == ("Title", "A")
+    assert _both(_WALK_CASES["second body"]) == [("Character", "A")]
+
+
 def test_self_closed_first_head_and_body_hide_later_ones():
     assert _title("<head/>" + _HEAD_TITLE) == ("Title", "")
     assert _both("<body/><body><a name=speech1>X</a></body>") == []

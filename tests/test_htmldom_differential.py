@@ -1,9 +1,9 @@
-"""Differential: the fast regex tokenizer (`_parse_html_fast`, the
+"""Differential: the regex tokenizer's tree (`parse_html`, the
 production path) vs the html.parser-backed reference builder
-(`parse_html_stdlib`) must build the SAME tree — on seeded random
-messy HTML and on real reference inputs.  Adjacent text nodes are
-merged before comparison (the two builders chunk text differently
-around entities)."""
+(`tests.helpers.parse_html_stdlib`) must build the SAME tree — on
+seeded random messy HTML and on real reference inputs.  Adjacent text
+nodes are merged before comparison (the two builders chunk text
+differently around entities)."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from ray_script_extract.sources.htmldom import (Node, parse_html,
-                                                parse_html_stdlib)
+from ray_script_extract.sources.htmldom import Node, parse_html
+from tests.helpers import parse_html_stdlib
 
 
 def _normalize(node: Node):

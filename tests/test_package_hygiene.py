@@ -35,8 +35,6 @@ ALLOWED_TEST_ONLY = {
                     "read_corpus",
     "predict_lang": "test reference: the per-document twin of the "
                     "distributed language id",
-    "parse_html_stdlib": "test reference: the stdlib HTML parser the "
-                         "tokenizer is held to",
     "cm_point_estimates": "test reference: Count-Min point estimates "
                           "for the sketch's error bounds",
     "decode_image_real": "test surface: the real PNG/PPM/JPEG decode "

@@ -4,6 +4,7 @@ cross-checked against the page-XML fixture path on identical content."""
 from __future__ import annotations
 
 import base64
+import re
 
 import pytest
 
@@ -14,7 +15,9 @@ from ray_script_extract.sources.pdf_fixtures import (
     build_pdf,
     screenplay_pdf_lines,
 )
-from ray_script_extract.sources.pdfnative import PdfDocument, pdf_to_page_xml
+from ray_script_extract.sources.pdfnative import (PdfDocument,
+                                                  pdf_page_records,
+                                                  pdf_to_page_xml)
 
 SCENES_1 = [{
     "slug": "INT. KITCHEN - DAY",
@@ -270,3 +273,76 @@ def test_incremental_update_redefinition_wins():
         b"2 0 obj\n<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>"
         b"\nendobj\n%%EOF\n")
     assert _font_names(PdfDocument(pdf))[2] == "/Helvetica"
+
+
+# -- damaged documents: what a bit flip can make of a font or an operand --
+# Each damaged file must read as its intact neighbour reads: a font
+# resource that is no dict as an unknown font name, a float-reading
+# operator given a non-number as an absent operator.
+
+_LINES = [(72, 108, "INT. HOUSE - DAY", {"color": (1, 0, 0)}),
+          (96, 108, "Jane waits by the door.", {"font": "F4"}),
+          (120, 108, "She opens it.")]
+
+
+def _with_content(pdf: bytes, old: bytes, new: bytes) -> bytes:
+    """Uncompressed one-page ``pdf`` with ``old`` replaced by ``new`` in
+    its content stream, the stream's /Length rewritten."""
+    m = next(m for m in re.finditer(
+        rb"<< /Length (\d+) >>\nstream\n(.*?)\nendstream", pdf, re.S)
+        if old in m.group(2))
+    data = m.group(2).replace(old, new)
+    return (pdf[:m.start()] + b"<< /Length %d >>\nstream\n" % len(data)
+            + data + b"\nendstream" + pdf[m.end():])
+
+
+@pytest.mark.parametrize("body", [
+    b"42", b"null", b"/Courier", b"[1 2]", b"foo",
+    b"<< /Length 3 >>\nstream\nabc\nendstream"],
+    ids=["int", "null", "name", "array", "keyword", "stream"])
+def test_font_resource_that_is_no_dict_selects_no_font(body):
+    damaged = build_pdf([_LINES], compress=False, extra_fonts={"F4": body})
+    unknown = _with_content(damaged, b"/F4 ", b"/F9 ")
+    assert pdf_page_records(damaged) == pdf_page_records(unknown)
+    pages, _ = pdf_page_records(damaged)
+    assert [f.value for f in pages[0].fragments] == [
+        "INT. HOUSE - DAY", "She opens it."]
+
+
+def test_font_resources_that_are_no_dict_select_no_font():
+    pdf = build_pdf([_LINES], compress=False, extra_fonts={"F4": b"null"})
+    pdf = pdf.replace(b"/Font << /F1", b"/Font 7 /Unused << /F1")
+    pages, _ = pdf_page_records(pdf)
+    assert pages[0].fragments == []
+
+
+@pytest.mark.parametrize("operands", [b"}", b"/X", b"(x)", b"[1]", b"<< >>",
+                                      b"1 /X", b"1 null"])
+@pytest.mark.parametrize("op", [b"g", b"rg", b"Td", b"Tc", b"Tz", b"Tr",
+                                b"cm"])
+def test_float_operator_with_a_non_number_is_skipped(op, operands):
+    pdf = build_pdf([_LINES], compress=False,
+                    extra_fonts={"F4": b"<< /Type /Font /Subtype /Type1 "
+                                       b"/BaseFont /Courier >>"})
+    skipped = pdf_page_records(pdf)
+    damaged = _with_content(pdf, b"\nET", b"\n" + operands + b" " + op
+                            + b"\nET")
+    assert pdf_page_records(damaged) == skipped
+    # the same operator before the text: the text reads as without it
+    damaged = _with_content(pdf, b"BT\n", b"BT\n" + operands + b" " + op
+                            + b"\n")
+    assert pdf_page_records(damaged) == skipped
+
+
+@pytest.mark.parametrize("operation", [
+    b"/F2 (x) Tf", b"/F2 /X Tf", b"/F2 null Tf", b"/F2 [1] Tf",
+    b"[1] 12 Tf", b"<< >> 12 Tf", b'(x) 1 (s) "', b'1 /X (s) "',
+    b'null 1 (s) "'])
+def test_font_and_spacing_operators_with_bad_operands_are_skipped(
+        operation):
+    pdf = build_pdf([_LINES[:1] + _LINES[2:]], compress=False)
+    skipped = pdf_page_records(pdf)
+    damaged = _with_content(pdf, b"\nET", b"\n" + operation + b"\nET")
+    assert pdf_page_records(damaged) == skipped
+    damaged = _with_content(pdf, b"BT\n", b"BT\n" + operation + b"\n")
+    assert pdf_page_records(damaged) == skipped
